@@ -346,22 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # Exact results can pass the interpreter's cap on int <-> str digits
+    # (4300 by default since Python 3.10.7 / 3.11); lift it for this call.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except SpinParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            return args.handler(args)
+        except SpinParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

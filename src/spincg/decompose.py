@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
-from .qpoly import IntPolynomial, q_analogue
+from .qpoly import IntPolynomial, _q_ratio_product
 from .spins import SpinMultiset, spin_label
 from .util import binom
 
@@ -151,11 +151,13 @@ class DecompositionTable:
 
 
 def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
-    """Full Omega table from the generating function prod [2j+1]_q^mult."""
-    poly = IntPolynomial.one()
-    for twice_j, mult in spins.entries:
-        poly = poly * q_analogue(twice_j + 1) ** mult
-    return OmegaTable(poly.coeffs, spins.twice_j0)
+    """Full Omega table from the generating function prod [2j+1]_q^mult.
+
+    Each spin is one q-ratio [2j+1]_q = (1 - q^(2j+1)) / (1 - q), so the
+    table costs O(N * 2J_0) coefficient additions.
+    """
+    pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
+    return OmegaTable(tuple(_q_ratio_product(pairs, spins.twice_j0)), spins.twice_j0)
 
 
 def omega_binomial(spins: SpinMultiset, n: int) -> int:
@@ -373,8 +375,9 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
         table = DecompositionTable(tuple(entries))
     else:
         table = lambda_from_omega(omega_table(spins, method))
-    assert table.total_dimension == spins.total_dimension
-    assert table.twice_jmin == spins.twice_jmin
+    expected = (spins.total_dimension, spins.twice_jmin)
+    if (table.total_dimension, table.twice_jmin) != expected:
+        raise ValueError(f"inconsistent decomposition of {spins.canonical()}")
     return table
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .decompose import DecompositionTable, difference_decomposition
 from .errors import DomainError
-from .qpoly import IntPolynomial, partitions_at_most, q_binomial, restricted_partitions
+from .qpoly import IntPolynomial, _gaussian_coefficients, partitions_at_most
+from .qpoly import q_binomial, restricted_partitions
 from .spins import SpinMultiset
 
 __all__ = [
@@ -71,10 +72,16 @@ def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     lambda_kappa = p(2j, N, kappa) - p(2j, N, kappa - 1) at J = jN - kappa,
     kept where positive.  The top spin J = jN always appears exactly once.
     """
-    return difference_decomposition(
-        lambda k: restricted_partitions(system.twice_j, system.count, k),
-        system.twice_j * system.count,
-    )
+    return _half_span_table(system.twice_j + system.count, system, 0)
+
+
+def _half_span_table(a: int, system: IdenticalSystem, shift: int) -> DecompositionTable:
+    # Omega_n is the q^(n - shift) coefficient of [a choose N]_q.  The
+    # differences run only up to the middle of the span, so one truncated
+    # product supplies every Omega they read.
+    twice_j0 = system.twice_j * system.count
+    omega = [0] * shift + _gaussian_coefficients(a, system.count, twice_j0 // 2 - shift)
+    return difference_decomposition(lambda n: omega[n] if n >= 0 else 0, twice_j0)
 
 
 def antisym_genfunc(system: IdenticalSystem) -> IntPolynomial:
@@ -112,9 +119,7 @@ def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     """
     if system.count > system.twice_j + 1:
         return DecompositionTable(())
-    return difference_decomposition(
-        lambda k: antisym_omega(system, k), system.twice_j * system.count
-    )
+    return _half_span_table(system.twice_j + 1, system, system.exclusion_shift)
 
 
 def inf_sym_omega(num: int, n: int) -> int:

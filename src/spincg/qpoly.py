@@ -1,18 +1,18 @@
 """Integer q-polynomials, Gaussian binomials, and restricted partitions.
 
-Everything downstream rests on three pieces of exact machinery:
-
-* IntPolynomial, a dense polynomial in q with int coefficients.  The
+* IntPolynomial, a dense polynomial in q with int coefficients; the
   q-analogue [n]_q = 1 + q + ... + q^(n-1) of a spin dimension is the
   building block of every generating function here.
-* Gaussian binomial coefficients [a choose b]_q, computed by the q-Pascal
-  rule.  Their coefficients count restricted partitions, which is what makes
-  them the generating functions of symmetric and antisymmetric spin
-  compositions.
-* The restricted partition counter p(n, m, k): partitions of k into at most
-  m parts, each part at most n.  A single memoized recurrence is the source
-  of truth; every other route (Gaussian coefficients, the nested phi sums)
-  is cross-checked against it in the tests.
+* Gaussian binomials [a choose b]_q, the generating functions of symmetric
+  and antisymmetric spin compositions.  Their coefficients are the
+  restricted partition counts p(n, m, k): partitions of k into at most m
+  parts, each part at most n.
+
+The Gaussian binomials, the partition counts and the Omega product
+prod [2j+1]_q all come from one routine, _q_ratio_product: a product of
+q-ratios (1 - q^u) / (1 - q^v) truncated at the highest coefficient asked
+for.  The other routes (IntPolynomial products, factorial division, nested
+sums) are cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .errors import DomainError
 from .util import heaviside
@@ -206,36 +208,45 @@ def q_factorial(n: int) -> IntPolynomial:
     return result
 
 
-# Above this the always-on cross-check against the factorial-division route
-# would dominate the runtime; tests cover larger arguments explicitly.
-_DIVISION_CHECK_LIMIT = 14
+def _q_ratio_product(pairs: list[tuple[int, int]], top: int) -> list[int]:
+    """Coefficients 0..top of prod (1 - q^u) / (1 - q^v) over (u, v) pairs.
+
+    In place on one list: times (1 - q^u) subtracts the list shifted by u,
+    over (1 - q^v) is a running sum along each residue class mod v.  Both
+    commute with truncation at q^top, and every caller's partial products
+    are polynomials, so the division is exact.
+    """
+    coeffs = [1] + [0] * top
+    for u, v in pairs:
+        if u <= top:
+            coeffs[u:] = map(sub, coeffs[u:], coeffs[: top + 1 - u])
+        for r in range(min(v, top + 1)):
+            coeffs[r::v] = accumulate(coeffs[r::v])
+    return coeffs
+
+
+def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
+    """Coefficients 0..top of [a choose b]_q, for 0 <= b <= a.
+
+    prod_{i=1..c} (1 - q^(a-c+i)) / (1 - q^i) with c = min(b, a - b); the
+    partial products are the Gaussian binomials [a-c+i choose i]_q.
+    """
+    c = min(b, a - b)
+    return _q_ratio_product([(a - c + i, i) for i in range(1, c + 1)], top)
 
 
 def q_binomial(a: int, b: int) -> IntPolynomial:
-    """Gaussian binomial [a choose b]_q via the q-Pascal rule.
+    """Gaussian binomial [a choose b]_q as a product of q-ratios.
 
-    Built row by row from [a choose b] = [a-1 choose b] + q^(a-b) [a-1
-    choose b-1], which keeps every intermediate an integer polynomial (no
-    division).  Degree is b(a-b); the coefficient of q^k counts partitions
-    of k into at most b parts each at most a-b.  Returns the zero
-    polynomial for b < 0 or b > a.
+    Degree is b(a-b); the coefficient of q^k counts partitions of k into at
+    most b parts each at most a-b.  Returns the zero polynomial for b < 0
+    or b > a.
     """
     if a < 0:
         raise DomainError("q_binomial needs a >= 0")
     if b < 0 or b > a:
         return IntPolynomial.zero()
-    one = IntPolynomial.one()
-    row = [one]
-    for aa in range(1, a + 1):
-        prev = row
-        row = [one]
-        for bb in range(1, aa):
-            row.append(prev[bb] + prev[bb - 1].shift(aa - bb))
-        row.append(one)
-    result = row[b]
-    if __debug__ and a <= _DIVISION_CHECK_LIMIT:
-        assert result == q_binomial_by_division(a, b)
-    return result
+    return IntPolynomial(tuple(_gaussian_coefficients(a, b, b * (a - b))))
 
 
 def q_binomial_by_division(a: int, b: int) -> IntPolynomial:
@@ -252,75 +263,43 @@ def q_binomial_by_division(a: int, b: int) -> IntPolynomial:
     return q_factorial(a).exact_div(q_factorial(b) * q_factorial(a - b))
 
 
-@lru_cache(maxsize=None)
-def _convolution_tail(depth: int, cap: int) -> IntPolynomial:
-    # 1 + sum_{m=1..cap} q^m * tail(depth-1, m); the nested-sum expansion
-    # of a Gaussian binomial, one summation sign per level.
-    if depth == 0:
-        return IntPolynomial.one()
-    total = IntPolynomial.one()
-    for m in range(1, cap + 1):
-        total = total + _convolution_tail(depth - 1, m).shift(m)
-    return total
-
-
 def q_binomial_convolution(a: int, b: int) -> IntPolynomial:
     """Gaussian binomial by the nested convolution sums.
 
     Expands [a choose b]_q as 1 + sum over m1 + sum over m1 >= m2 + ...,
     b levels deep with m1 <= a - b.  Equals 1 when a == b (every sum is
-    empty).  Slower than the q-Pascal route; used as a cross-check.
+    empty).  Slower than q_binomial; used as a cross-check.
     """
     if b < 0 or a < b:
         raise DomainError("q_binomial_convolution needs a >= b >= 0")
-    return _convolution_tail(b, a - b)
 
+    @lru_cache(maxsize=None)
+    def tail(depth: int, cap: int) -> IntPolynomial:
+        # 1 + sum_{m=1..cap} q^m * tail(depth-1, m); the nested-sum
+        # expansion of a Gaussian binomial, one summation sign per level.
+        if depth == 0:
+            return IntPolynomial.one()
+        total = IntPolynomial.one()
+        for m in range(1, cap + 1):
+            total = total + tail(depth - 1, m).shift(m)
+        return total
 
-_P_CACHE: dict[tuple[int, int, int], int] = {}
-
-
-def _p_known(n: int, m: int, k: int) -> int | None:
-    if k < 0 or k > n * m:
-        return 0
-    if k == 0:
-        return 1
-    # here n >= 1 and m >= 1, otherwise n*m == 0 < k was caught above
-    return _P_CACHE.get((n, m, k))
+    return tail(b, a - b)
 
 
 def restricted_partitions(n: int, m: int, k: int) -> int:
     """p(n, m, k): partitions of k into at most m parts, each part <= n.
 
-    Memoized recurrence p(n, m, k) = p(n, m-1, k) + p(n-1, m, k-m): either
-    fewer than m parts are used, or every one of the m parts is >= 1 and
-    removing one unit from each leaves a partition of k - m with parts
-    <= n - 1.  Returns 0 outside 0 <= k <= n*m; p(n, m, 0) = 1.
-    Evaluated with an explicit stack, so deep tables cannot overflow the
-    interpreter; the shared cache is write-once per key (last writer wins
-    with identical values), which keeps it safe under threads.
+    The q^k coefficient of the palindromic [n+m choose m]_q, read at
+    min(k, nm - k) from a product truncated there: O(k) memory, O(min(n, m)
+    * k) additions.  Returns 0 outside 0 <= k <= n*m; p(n, m, 0) = 1.
     """
     if n < 0 or m < 0:
         raise DomainError("restricted_partitions needs n >= 0 and m >= 0")
-    known = _p_known(n, m, k)
-    if known is not None:
-        return known
-    stack = [(n, m, k)]
-    while stack:
-        nn, mm, kk = stack[-1]
-        if (nn, mm, kk) in _P_CACHE:
-            stack.pop()
-            continue
-        fewer = _p_known(nn, mm - 1, kk)
-        shaved = _p_known(nn - 1, mm, kk - mm)
-        if fewer is None or shaved is None:
-            if fewer is None:
-                stack.append((nn, mm - 1, kk))
-            if shaved is None:
-                stack.append((nn - 1, mm, kk - mm))
-            continue
-        _P_CACHE[(nn, mm, kk)] = fewer + shaved
-        stack.pop()
-    return _P_CACHE[(n, m, k)]
+    if k < 0 or k > n * m:
+        return 0
+    k = min(k, n * m - k)
+    return _gaussian_coefficients(n + m, m, k)[k]
 
 
 def partitions_at_most(num_parts: int, k: int) -> int:
@@ -332,25 +311,6 @@ def partitions_at_most(num_parts: int, k: int) -> int:
     if num_parts < 0:
         raise DomainError("partitions_at_most needs num_parts >= 0")
     return restricted_partitions(max(k, 0), num_parts, k)
-
-
-@lru_cache(maxsize=None)
-def _phi_level(depth: int, cap: int, quota: int) -> int:
-    # The nested Heaviside sums, one level per summation variable.  cap is
-    # the bound on the next variable (previous variable, or a-b at the top);
-    # quota is k minus everything chosen so far.  At the innermost level
-    # the two step factors read H(m_last - quota) * H(quota - 1), with
-    # m_last equal to the cap that was passed down.
-    if depth == 0:
-        return heaviside(cap - quota) * heaviside(quota - 1)
-    total = 0
-    for m in range(1, cap + 1):
-        if quota - m < depth:
-            # every remaining variable is >= 1 and the final step factor
-            # needs a positive leftover, so larger m cannot contribute
-            break
-        total += _phi_level(depth - 1, m, quota - m)
-    return total
 
 
 def phi(a: int, b: int, nu: int, k: int) -> int:
@@ -368,7 +328,26 @@ def phi(a: int, b: int, nu: int, k: int) -> int:
         raise DomainError("phi needs nu >= 0")
     if nu == 0:
         return 1 if k == 0 else 0
-    return _phi_level(nu - 1, a - b, k)
+
+    @lru_cache(maxsize=None)
+    def level(depth: int, cap: int, quota: int) -> int:
+        # The nested Heaviside sums, one level per summation variable.  cap
+        # is the bound on the next variable (previous variable, or a-b at
+        # the top); quota is k minus everything chosen so far.  At the
+        # innermost level the two step factors read H(m_last - quota) *
+        # H(quota - 1), with m_last equal to the cap that was passed down.
+        if depth == 0:
+            return heaviside(cap - quota) * heaviside(quota - 1)
+        total = 0
+        for m in range(1, cap + 1):
+            if quota - m < depth:
+                # every remaining variable is >= 1 and the final step
+                # factor needs a positive leftover; larger m cannot add
+                break
+            total += level(depth - 1, m, quota - m)
+        return total
+
+    return level(nu - 1, a - b, k)
 
 
 def phi2_closed(a: int, b: int, k: int) -> int:

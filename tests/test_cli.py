@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -142,6 +143,25 @@ def test_partitions_compose_dice(capsys):
     assert out.strip() == "1/6 ≈ 0.166667"
     code, out, _ = run(capsys, "dice", "--dice", "2", "--sum", "1")
     assert out.strip() == "0"
+
+
+def test_results_past_the_int_digit_cap_print_in_full(capsys):
+    # C(199999, 2099) has about 7000 digits, past the default cap on
+    # int <-> str conversion (4300 digits since Python 3.10.7 / 3.11)
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    cap = get_cap() if get_cap else None
+    code, out, err = run(capsys, "compose", "--parts", "300000^2100", "--n", "200000")
+    assert code == 0 and err == ""
+    if get_cap:
+        assert get_cap() == cap  # restored after the call
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.comb(199999, 2099))
+    finally:
+        if get_cap:
+            sys.set_int_max_str_digits(cap)
+    assert len(expected) > 4300
+    assert out == expected + "\n"
 
 
 def test_sequences_and_isotropic(capsys):

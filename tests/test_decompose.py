@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +15,10 @@ from conftest import fold_pairwise, random_multiset, table_as_dict
 from spincg import (
     DecompositionTable,
     DomainError,
+    IntPolynomial,
     METHODS,
     OmegaTable,
+    SpinMultiset,
     decompose,
     difference_decomposition,
     lambda_binomial,
@@ -27,8 +33,11 @@ from spincg import (
     omega_univariate,
     omega_zero_range,
     parse_spins,
+    q_analogue,
 )
 from spincg.util import binom
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WORKED = parse_spins("1/2^2,1^4")
 WORKED_OMEGA = (1, 6, 19, 40, 61, 70, 61, 40, 19, 6, 1)
@@ -86,6 +95,48 @@ def test_worked_example_decomposition():
         table = decompose(WORKED, method)
         assert table.entries == WORKED_LAMBDA
         assert table.total_dimension == 324
+
+
+def test_omega_genfunc_matches_schoolbook_product():
+    # IntPolynomial's schoolbook product is the independent reference for
+    # the in-place q-ratio product, on multisets with 2J_0 up to about 300
+    rng = random.Random(20260418)
+    for _ in range(8):
+        entries = {}
+        while sum(tj * mult for tj, mult in entries.items()) < rng.randint(20, 260):
+            twice_j = rng.randint(1, 12)
+            entries[twice_j] = entries.get(twice_j, 0) + rng.randint(1, 15)
+        spins = SpinMultiset.from_entries(entries)
+        reference = IntPolynomial.one()
+        for twice_j, mult in spins.entries:
+            reference = reference * q_analogue(twice_j + 1) ** mult
+        assert omega_genfunc(spins).values == reference.coeffs, spins
+
+
+def test_decompose_checks_survive_optimized_mode():
+    # python -O strips asserts (the script's first assert proves it); the
+    # post-conditions of decompose must still reject a wrong multiplicity
+    # table there
+    script = (
+        "import importlib, sys\n"
+        "assert False, 'asserts are on'\n"
+        "d = importlib.import_module('spincg.decompose')\n"
+        "exact = d.lambda_binomial\n"
+        "d.lambda_binomial = lambda spins, kappa: exact(spins, kappa) + 1\n"
+        "try:\n"
+        "    d.decompose(d.SpinMultiset.from_entries({2: 3}), 'binomial')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "inconsistent decomposition" in result.stdout
 
 
 def test_omega_table_methods_agree():

@@ -115,6 +115,10 @@ def test_q_binomial_routes_agree():
             assert q_binomial_by_division(a, b) == reference
             assert q_binomial_convolution(a, b) == reference
             assert subset_sum_gaussian(a, b) == reference
+    # past a = 10, a few b per a against the factorial-division route
+    for a in range(11, 31):
+        for b in {0, 1, a // 3, a // 2, a - 1, a}:
+            assert q_binomial(a, b) == q_binomial_by_division(a, b), (a, b)
 
 
 def test_q_binomial_convolution_edges():
@@ -190,6 +194,19 @@ def test_restricted_partitions_match_enumeration():
                 assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
 
 
+def test_restricted_partitions_match_oracle_on_wide_spans():
+    # min(n, m) >= 10, so every value comes from a product of ten or more
+    # q-ratios truncated at min(k, nm - k); k runs on both sides of nm / 2
+    spans = {
+        (10, 10): (1, 10, 11, 37, 50, 63, 92, 100),
+        (10, 13): (12, 29, 41),
+        (16, 11): (15, 33),
+    }
+    for (n, m), ks in spans.items():
+        for k in ks:
+            assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
+
+
 def test_restricted_partitions_are_gaussian_coefficients():
     for a in range(0, 11):
         for b in range(0, a + 1):
@@ -230,8 +247,8 @@ def test_partitions_at_most():
 
 
 def test_deep_partition_tables_do_not_overflow():
-    # the explicit-stack evaluator must survive spans far past the
-    # interpreter's recursion limit
+    # spans far past the interpreter's recursion limit, where a recursive
+    # evaluator would overflow the stack
     assert restricted_partitions(3000, 1, 2500) == 1
     assert partitions_at_most(2, 4000) == 2001
 
