@@ -10,6 +10,7 @@ parse-and-reserialize round trip is byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -178,11 +179,11 @@ def _fraction_decimal(value: Fraction, digits: int) -> str:
 def _cmd_dice(args: argparse.Namespace) -> int:
     if args.dice < 1:
         raise DomainError("--dice must be >= 1")
+    if args.digits is not None and args.digits < 1:
+        raise DomainError("--digits must be >= 1")
     prob = dice_probability(args.dice, args.sum)
     text = str(prob) if prob.denominator != 1 else f"{prob.numerator}"
     if args.digits is not None:
-        if args.digits < 1:
-            raise DomainError("--digits must be >= 1")
         text += f" ≈ {_fraction_decimal(prob, args.digits)}"
     print(text)
     return 0
@@ -345,6 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args only reads the tree: prog is fixed, no argument appends to a
+# shared default, handlers are plain functions and the help width is read
+# when help is formatted.  The cache holds that one object, never mutated,
+# so it is no growing global state.
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # Exact results can pass the interpreter's cap on int <-> str digits
     # (4300 by default since Python 3.10.7 / 3.11); lift it for this call.
@@ -352,9 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         try:

@@ -465,7 +465,8 @@ def _reduced_parameters(
     k_active = termination_index(uppers)
     for i in range(len(family_uppers) - gap):
         value = family_uppers[i]
-        assert value == family_lowers[i + gap]
+        if value != family_lowers[i + gap]:
+            raise ValueError(f"parameter families do not pair at offset {gap}")
         if (
             value.denominator == 1
             and value <= 0

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from spincg import cli
 from spincg.cli import main
 
 
@@ -145,6 +148,19 @@ def test_partitions_compose_dice(capsys):
     assert out.strip() == "0"
 
 
+def test_dice_digits_checked_before_the_probability(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("dice_probability called")
+
+    monkeypatch.setattr(cli, "dice_probability", never)
+    code, out, err = run(
+        capsys, "dice", "--dice", "2000", "--sum", "7000", "--digits", "0"
+    )
+    assert (code, out, err) == (3, "", "error: --digits must be >= 1\n")
+    code, _, err = run(capsys, "dice", "--dice", "0", "--sum", "1", "--digits", "0")
+    assert (code, err) == (3, "error: --dice must be >= 1\n")
+
+
 def test_results_past_the_int_digit_cap_print_in_full(capsys):
     # C(199999, 2099) has about 7000 digits, past the default cap on
     # int <-> str conversion (4300 digits since Python 3.10.7 / 3.11)
@@ -227,6 +243,83 @@ def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "cgd", "--spins", "1", "--method", "magic")[0] == 2
+
+
+# Every verb in text and with --format json (verbs without --format reject
+# it with exit 2), help, usage errors, and exits 3 and 4.
+REUSE_ARGVS = [
+    *([*verb, *fmt] for verb in (
+        ("cgd", "--spins", "1/2^2,1^2"),
+        ("omega", "--spins", "1/2,1", "--n", "1"),
+        ("genfunc", "--spins", "1/2^2", "--lambda"),
+        ("sym", "--j", "1", "--num", "3"),
+        ("antisym", "--j", "3/2", "--num", "2"),
+        ("qbinom", "--a", "5", "--b", "2"),
+        ("partitions", "--max-part", "3", "--max-parts", "4", "--k", "5"),
+        ("compose", "--parts", "2^2", "--n", "2", "--allow-zero"),
+        ("dice", "--dice", "2", "--sum", "7", "--digits", "3"),
+        ("catalan", "--count", "5"),
+        ("riordan", "--count", "5"),
+        ("isotropic", "--dim", "3", "--rank", "4"),
+        ("oracle", "--j", "1", "--num", "2", "--composition", "symmetric"),
+    ) for fmt in ((), ("--format", "json"))),
+    ["--help"], ["cgd", "--help"], ["nonsense"], [], ["cgd", "--spins", "1", "extra"],
+    ["cgd", "--spins", "0^2"],
+    ["isotropic", "--dim", "1", "--rank", "4"],
+    ["oracle", "--spins", "2^12", "--budget", "100"],
+]
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
+    def outcomes(order, fresh=False):
+        results = {}
+        for argv in order:
+            if fresh:
+                cli._parser.cache_clear()
+            results[tuple(argv)] = run(capsys, *argv)
+        return results
+
+    reference = outcomes(REUSE_ARGVS, fresh=True)
+    assert {code for code, _, _ in reference.values()} == {0, 2, 3, 4}
+    for seed in (1, 2):
+        order = list(REUSE_ARGVS)
+        random.Random(seed).shuffle(order)
+        assert outcomes(order) == reference
+
+    # one tree of 14 parsers (the root and 13 verbs), built in the first call
+    built_during = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built_during.append(call)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    for call in range(50):
+        run(capsys, *REUSE_ARGVS[call % len(REUSE_ARGVS)])
+    assert built_during == [0] * 14
+
+
+def test_cli_output_unchanged_under_optimized_mode():
+    # python -O strips asserts and must not change what a verb prints
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONOPTIMIZE", None)
+    wrapper = "import sys; from spincg.cli import main; sys.exit(main())"
+    argv = ["cgd", "--spins", "1/2^3,1^2", "--format", "json"]
+
+    def cgd(*flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-c", wrapper, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    plain, optimized = cgd(), cgd("-O")
+    assert optimized.returncode == 0, optimized.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["spins"] == "1/2^3,1^2"
 
 
 def test_entry_point_installed():

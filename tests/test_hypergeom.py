@@ -17,6 +17,7 @@ from spincg import (
     riordan,
     termination_index,
 )
+from spincg.decompose import _reduced_parameters
 from spincg.util import binom
 
 
@@ -125,3 +126,16 @@ def test_riordan_identity():
         ]
         value = binom(2 * v - 2, v) * eval_terminating_pfq(uppers, lowers)
         assert value == riordan(v), v
+
+
+def test_reduced_parameters_reject_unpaired_families():
+    # each upper parameter must meet its lower partner gap places on; the
+    # check is a raise, so python -O keeps it
+    uppers = [Fraction(-1, 3), Fraction(-2, 3)]
+    paired = [Fraction(-4, 3), *uppers]
+    assert _reduced_parameters(Fraction(-2), uppers, paired, 1) == (
+        [Fraction(-2), Fraction(-2, 3)], [Fraction(-4, 3), Fraction(-2, 3)]
+    )
+    unpaired = [Fraction(-4, 3), Fraction(-5, 3), uppers[1]]
+    with pytest.raises(ValueError, match="do not pair"):
+        _reduced_parameters(Fraction(-2), uppers, unpaired, 1)
