@@ -356,6 +356,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one spincg command line; return its exit code (0, 2, 3 or 4).
+
+    Not thread-safe: for the length of the call it lifts the interpreter's
+    int/str digit cap, which is process-wide, so another thread converting
+    ints at the same time sees the lifted cap, and two overlapping calls can
+    leave it lifted.
+    """
     # Exact results can pass the interpreter's cap on int <-> str digits
     # (4300 by default since Python 3.10.7 / 3.11); lift it for this call.
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -27,6 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul, sub
 
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
@@ -153,11 +155,91 @@ class DecompositionTable:
 def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
     """Full Omega table from the generating function prod [2j+1]_q^mult.
 
-    Each spin is one q-ratio [2j+1]_q = (1 - q^(2j+1)) / (1 - q), so the
-    table costs O(N * 2J_0) coefficient additions.
+    The table is palindromic (Omega_n = Omega_{2J_0 - n}), so only
+    Omega_0 .. Omega_{floor(J_0)}, the last one lambda_from_omega reads,
+    are computed; the rest is their mirror.  Two routes build that half:
+
+    * the q-ratio kernel, one ratio [2j+1]_q = (1 - q^(2j+1)) / (1 - q)
+      per spin: about N * J_0 coefficient additions;
+    * the holonomic recurrence of _omega_recurrence, whose cost is set by
+      the sigma species, not the N spins: about 2^(sigma+2) * J_0
+      multiply-adds, since its two coefficient polynomials have at most
+      2^(sigma+1) terms each.
+
+    The recurrence runs when 2^(sigma+2) < N.  G_Omega is D-finite
+    (Stanley, EC2 6.4), and the recurrence is a variant of J. C. P.
+    Miller's power-series recurrence (Knuth, TAOCP vol. 2, 4.7).
     """
-    pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
-    return OmegaTable(tuple(_q_ratio_product(pairs, spins.twice_j0)), spins.twice_j0)
+    span = spins.twice_j0
+    half = span // 2
+    if 2 ** (spins.num_distinct + 2) < spins.num_spins:
+        head = _omega_recurrence(spins.entries, half)
+    else:
+        head = _q_ratio_product([(tj + 1, 1) for tj in spins.twice_spins], half)
+    return OmegaTable(tuple(head + head[: span - half][::-1]), span)
+
+
+def _holonomic_terms(
+    entries: tuple[tuple[int, int], ...],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Nonzero (k, coefficient) terms of Q and R, with Q * G' = R * G.
+
+    For G = prod_a [d_a]_q^(N_a), d_a = 2j_a + 1, N = sum N_a and
+    P = prod_a (1 - q^(d_a)): Q = (1 - q) P and
+    R = N P - (1 - q) sum_a N_a d_a q^(d_a - 1) P / (1 - q^(d_a)),
+    the logarithmic derivative of G cleared of its denominators.
+    """
+    num = sum(mult for _, mult in entries)
+    size = sum(twice_j + 1 for twice_j, _ in entries) + 2
+    p = [1] + [0] * (size - 1)
+    for twice_j, _ in entries:
+        d = twice_j + 1
+        p[d:] = map(sub, p[d:], p[: size - d])
+    s = [0] * size
+    for twice_j, mult in entries:
+        # P / (1 - q^d) by running sums along each residue class mod d
+        d = twice_j + 1
+        cofactor = p[:]
+        for r in range(d):
+            cofactor[r::d] = accumulate(cofactor[r::d])
+        weight = mult * d
+        for k in range(size - d + 1):
+            s[k + d - 1] += weight * cofactor[k]
+    q = list(map(sub, p, [0] + p[:-1]))
+    r = [num * pk - sk + sk_1 for pk, sk, sk_1 in zip(p, s, [0] + s[:-1])]
+    return (
+        [(k, c) for k, c in enumerate(q) if c],
+        [(k, c) for k, c in enumerate(r) if c],
+    )
+
+
+def _omega_recurrence(entries: tuple[tuple[int, int], ...], top: int) -> list[int]:
+    """Coefficients 0..top of prod_a [2j_a+1]_q^(N_a) by a linear recurrence.
+
+    From Q * G' = R * G (see _holonomic_terms) and Q_0 = 1:
+    (n+1) g_{n+1} = sum_k R_k g_{n-k} - sum_{k>=1} Q_k (n+1-k) g_{n+1-k}.
+    g holds the coefficients and h the n * g_n, both behind a run of
+    zeros, so every term reads a fixed offset from the end of the list.
+    The division is exact; a remainder means an arithmetic bug.
+    """
+    q_terms, r_terms = _holonomic_terms(entries)
+    pad = max(k for k, _ in q_terms + r_terms) + 1
+    g = [0] * pad + [1]
+    h = [0] * (pad + 1)
+    r_coeffs = [c for _, c in r_terms]
+    r_at = [-1 - k for k, _ in r_terms]
+    q_coeffs = [c for k, c in q_terms if k]
+    q_at = [-k for k, _ in q_terms if k]
+    g_at, h_at = g.__getitem__, h.__getitem__
+    for n in range(1, top + 1):
+        total = sum(map(mul, r_coeffs, map(g_at, r_at)))
+        total -= sum(map(mul, q_coeffs, map(h_at, q_at)))
+        value, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"holonomic recurrence: inexact step at n={n}")
+        g.append(value)
+        h.append(total)
+    return g[pad:]
 
 
 def omega_binomial(spins: SpinMultiset, n: int) -> int:
@@ -305,7 +387,8 @@ def lambda_genfunc(spins: SpinMultiset) -> IntPolynomial:
     then come 2*J_m zero "sinking" coefficients, then the mirrored negative
     coefficients (G_lambda(1) = 0).
     """
-    return IntPolynomial((1, -1)) * omega_genfunc(spins).to_polynomial()
+    values = omega_genfunc(spins).values
+    return IntPolynomial(tuple(map(sub, values + (0,), (0,) + values)))
 
 
 def _multiplicity_steps(spins: SpinMultiset) -> int:

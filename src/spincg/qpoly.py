@@ -8,11 +8,13 @@
   restricted partition counts p(n, m, k): partitions of k into at most m
   parts, each part at most n.
 
-The Gaussian binomials, the partition counts and the Omega product
-prod [2j+1]_q all come from one routine, _q_ratio_product: a product of
-q-ratios (1 - q^u) / (1 - q^v) truncated at the highest coefficient asked
-for.  The other routes (IntPolynomial products, factorial division, nested
-sums) are cross-checks.
+The Gaussian binomials and the partition counts come from one routine,
+_q_ratio_product: a product of q-ratios (1 - q^u) / (1 - q^v) truncated at
+the highest coefficient asked for.  The Omega product prod [2j+1]_q uses it
+when the spins are spread over many species; otherwise decompose builds it
+by a recurrence whose cost is set by the number of species.  The other
+routes (IntPolynomial products, factorial division, nested sums) are
+cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """

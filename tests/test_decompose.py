@@ -35,6 +35,8 @@ from spincg import (
     parse_spins,
     q_analogue,
 )
+from spincg.decompose import _omega_recurrence
+from spincg.qpoly import _q_ratio_product
 from spincg.util import binom
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -99,18 +101,74 @@ def test_worked_example_decomposition():
 
 def test_omega_genfunc_matches_schoolbook_product():
     # IntPolynomial's schoolbook product is the independent reference for
-    # the in-place q-ratio product, on multisets with 2J_0 up to about 300
+    # the in-place q-ratio product and the holonomic recurrence, on
+    # multisets with 2J_0 up to about 300
     rng = random.Random(20260418)
+    multisets = []
     for _ in range(8):
         entries = {}
         while sum(tj * mult for tj, mult in entries.items()) < rng.randint(20, 260):
             twice_j = rng.randint(1, 12)
             entries[twice_j] = entries.get(twice_j, 0) + rng.randint(1, 15)
-        spins = SpinMultiset.from_entries(entries)
+        multisets.append(SpinMultiset.from_entries(entries))
+    # one to eight species, once with one to three spins each (the kernel's
+    # side of the route choice in omega_genfunc) and once with spin 1/2
+    # grown by 2^(sigma+2) spins (the recurrence's side); 1/2^120 is one
+    # species with N >= 100, and eight distinct spins once each close the list
+    many = [parse_spins("1/2^120")]
+    for sigma in range(1, 9):
+        twice = [1, *rng.sample(range(2, 13), sigma - 1)]
+        few = {tj: rng.randint(1, 3) for tj in twice}
+        multisets.append(SpinMultiset.from_entries(few))
+        many.append(SpinMultiset.from_entries({**few, 1: few[1] + 2 ** (sigma + 2)}))
+    multisets.append(SpinMultiset.from_entries(dict.fromkeys(rng.sample(range(1, 13), 8), 1)))
+    for spins in multisets + [m for m in many if m.twice_j0 <= 300]:
         reference = IntPolynomial.one()
         for twice_j, mult in spins.entries:
             reference = reference * q_analogue(twice_j + 1) ** mult
         assert omega_genfunc(spins).values == reference.coeffs, spins
+        span = spins.twice_j0
+        pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
+        assert tuple(_q_ratio_product(pairs, span)) == reference.coeffs, spins
+        assert tuple(_omega_recurrence(spins.entries, span)) == reference.coeffs, spins
+    # both routes over the full span, past the half omega_genfunc computes;
+    # past 2J_0 = 300 the kernel is the reference
+    wide = [m for m in many if m.twice_j0 > 300]
+    for spins in [parse_spins("1^400"), parse_spins("1/2^30,1^30,3/2^30"), *wide]:
+        pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
+        reference = _q_ratio_product(pairs, spins.twice_j0)
+        assert _omega_recurrence(spins.entries, spins.twice_j0) == reference, spins
+        assert omega_genfunc(spins).values == tuple(reference), spins
+
+
+def test_omega_recurrence_rejects_an_inexact_step():
+    # the exact division by n in the recurrence is an if/raise, so python
+    # -O (which strips asserts; the script's first assert proves it) still
+    # stops on a wrong coefficient.  1^100 (one species, N = 100) takes the
+    # recurrence route, and a one-off error in R_1 makes 2 g_2 odd.
+    script = (
+        "import importlib, sys\n"
+        "assert False, 'asserts are on'\n"
+        "d = importlib.import_module('spincg.decompose')\n"
+        "exact = d._holonomic_terms\n"
+        "def wrong(entries):\n"
+        "    q_terms, r_terms = exact(entries)\n"
+        "    return q_terms, r_terms + [(1, 1)]\n"
+        "d._holonomic_terms = wrong\n"
+        "try:\n"
+        "    d.omega_genfunc(d.SpinMultiset.from_entries({2: 100}))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "inexact step at n=2" in result.stdout
 
 
 def test_decompose_checks_survive_optimized_mode():
