@@ -209,26 +209,30 @@ def _cmd_isotropic(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise DomainError("--budget must be >= 1")
     budget = EnumerationBudget(args.budget) if args.budget else EnumerationBudget()
     if args.spins is not None:
         if args.composition not in (None, "full"):
             raise SpinParseError("--spins fixes the composition to full")
         spins = parse_spins(args.spins)
-        table = lambda_from_omega(oracle_omega(spins, budget))
-        _print_decomposition(table, spins.canonical(), args.format, "full")
-        return 0
-    if args.j is None or args.num is None or args.composition is None:
+        composition = "full"
+    elif args.j is None or args.num is None or args.composition is None:
         raise SpinParseError(
             "oracle needs either --spins, or --j/--num with "
             "--composition {symmetric,antisymmetric}"
         )
-    system = _identical_system(args)
-    if args.composition == "symmetric":
-        omega = oracle_sym(system.twice_j, system.count, budget)
     else:
-        omega = oracle_antisym(system.twice_j, system.count, budget)
-    table = difference_decomposition(omega.omega, system.twice_j * system.count)
-    _print_decomposition(table, system.canonical(), args.format, args.composition)
+        system = _identical_system(args)
+        spins = system.as_multiset()
+        composition = args.composition
+    if composition == "full":
+        table = lambda_from_omega(oracle_omega(spins, budget))
+    else:
+        oracle = oracle_sym if composition == "symmetric" else oracle_antisym
+        omega = oracle(system.twice_j, system.count, budget)
+        table = difference_decomposition(omega.omega, spins.twice_j0)
+    _print_decomposition(table, spins.canonical(), args.format, composition)
     return 0
 
 

@@ -13,8 +13,10 @@ where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
 
 Multiplicities follow by first differences, lambda_kappa = Omega_kappa -
 Omega_{kappa-1} with J_kappa = J_0 - kappa, and also come straight from a
-binomial formula or from the polynomial (1 - q) * G_Omega.  All three
-method choices produce identical DecompositionTables; the tests and the
+binomial formula or from the polynomial (1 - q) * G_Omega.  Every Omega
+table goes through one difference scan, every binomial form through one
+alternating sum, and decompose audits each result once.  All three method
+choices produce identical DecompositionTables; the tests and the
 brute-force oracles hold them to that.
 
 Single-spin-value collections {j^N} additionally admit univariate formulas,
@@ -242,6 +244,25 @@ def _omega_recurrence(entries: tuple[tuple[int, int], ...], top: int) -> list[in
     return g[pad:]
 
 
+def _alternating_sum(entries: tuple[tuple[int, int], ...], top: int, n: int) -> int:
+    """sum_{w <= n} c_w C(top + n - w, top), c_w from prod_a (1 - q^(2j_a+1))^(N_a).
+
+    c_w is built species by species with equal weights merged, not per
+    choice (s_a).  top is N - 1 for Omega_n and N - 2 for lambda_kappa.
+    """
+    coeffs = {0: 1}
+    for twice_j, mult in entries:
+        step = twice_j + 1
+        row = [(-1) ** s * binom(mult, s) for s in range(min(mult, n // step) + 1)]
+        grown: dict[int, int] = {}
+        for weight, coeff in coeffs.items():
+            for s in range(min(len(row) - 1, (n - weight) // step) + 1):
+                w = weight + step * s
+                grown[w] = grown.get(w, 0) + coeff * row[s]
+        coeffs = grown
+    return sum(coeff * binom(top + n - w, top) for w, coeff in coeffs.items())
+
+
 def omega_binomial(spins: SpinMultiset, n: int) -> int:
     """Single Omega_n by the alternating binomial sum.
 
@@ -251,25 +272,7 @@ def omega_binomial(spins: SpinMultiset, n: int) -> int:
     """
     if n < 0 or n > spins.twice_j0:
         return 0
-    entries = spins.entries
-    num = spins.num_spins
-    total = 0
-
-    def walk(idx: int, weight: int, sign: int, coeff: int) -> None:
-        nonlocal total
-        if idx == len(entries):
-            total += sign * coeff * binom(num + n - 1 - weight, num - 1)
-            return
-        twice_j, mult = entries[idx]
-        step = twice_j + 1
-        for s in range(mult + 1):
-            w = weight + step * s
-            if w > n:
-                break
-            walk(idx + 1, w, sign if s % 2 == 0 else -sign, coeff * binom(mult, s))
-
-    walk(0, 0, 1, 1)
-    return total
+    return _alternating_sum(spins.entries, spins.num_spins - 1, n)
 
 
 def omega_composition(spins: SpinMultiset, n: int) -> int:
@@ -335,29 +338,18 @@ def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
 
 
 def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
-    """Multiplicities by first differences of the Omega table.
+    """Multiplicities by first differences of the Omega table, audited.
 
-    lambda_0 = Omega_0 and lambda_kappa = Omega_kappa - Omega_{kappa-1} as
-    long as the difference stays positive; the first zero difference marks
-    the minimum coupled spin.  A final dimension audit (sum of lambda *
-    (2J+1) against sum of Omega) rejects tables that are not genuine
-    subspace-dimension tables.
+    The scan is difference_decomposition's; this adds the checks a genuine
+    subspace-dimension table passes.  Omega_0 must be 1, the multiplicities
+    must run without a gap from J_0 down to the minimum coupled spin, and
+    sum lambda * (2J+1) must equal sum Omega.
     """
-    values = table.values
-    if not values or values[0] != 1:
+    if table.omega(0) != 1:
         raise ValueError("inconsistent omega table: Omega_0 must be 1")
-    twice_j0 = table.twice_j0
-    lams = [values[0]]
-    for kappa in range(1, twice_j0 // 2 + 1):
-        diff = values[kappa] - values[kappa - 1]
-        if diff <= 0:
-            break
-        lams.append(diff)
-    entries = tuple(
-        (twice_j0 - 2 * kappa, lam) for kappa, lam in enumerate(lams)
-    )
-    result = DecompositionTable(entries)
-    if result.total_dimension != table.total:
+    result = difference_decomposition(table.omega, table.twice_j0)
+    contiguous_end = table.twice_j0 - 2 * (len(result.entries) - 1)
+    if (result.twice_jmin, result.total_dimension) != (contiguous_end, table.total):
         raise ValueError(
             "inconsistent omega table: multiplicities do not account for its dimension"
         )
@@ -368,9 +360,10 @@ def difference_decomposition(omega_at, twice_j0: int) -> DecompositionTable:
     """First-difference multiplicities from any Omega accessor.
 
     Scans kappa = 0 .. floor(2J_0 / 2), keeps positive differences, and
-    places each at twice_J = 2J_0 - 2 kappa.  Unlike lambda_from_omega this
-    makes no structural demands on the table, so it also serves the
-    symmetric and antisymmetric tables, whose support starts above zero.
+    places each at twice_J = 2J_0 - 2 kappa.  The one scan for decompose,
+    lambda_from_omega and the symmetric and antisymmetric tables (whose
+    support starts above zero); it makes no structural demands on the
+    table, and lambda_from_omega and decompose audit what it returns.
     """
     entries = []
     for kappa in range(twice_j0 // 2 + 1):
@@ -413,24 +406,7 @@ def lambda_binomial(spins: SpinMultiset, kappa: int) -> int:
         )
     if kappa < 0 or kappa > _multiplicity_steps(spins):
         raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
-    entries = spins.entries
-    total = 0
-
-    def walk(idx: int, weight: int, sign: int, coeff: int) -> None:
-        nonlocal total
-        if idx == len(entries):
-            total += sign * coeff * binom(num + kappa - 2 - weight, num - 2)
-            return
-        twice_j, mult = entries[idx]
-        step = twice_j + 1
-        for s in range(mult + 1):
-            w = weight + step * s
-            if w > kappa:
-                break
-            walk(idx + 1, w, sign if s % 2 == 0 else -sign, coeff * binom(mult, s))
-
-    walk(0, 0, 1, 1)
-    return total
+    return _alternating_sum(spins.entries, num - 2, kappa)
 
 
 def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTable:
@@ -440,24 +416,19 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
     and "composition" build the Omega table and difference it, "binomial"
     evaluates each lambda_kappa directly (falling back to the
     omega-difference route for a single spin, where the direct kernel is
-    undefined).  The three methods agree entry for entry.
+    undefined).  The three methods agree entry for entry, and every result
+    passes one audit: its total dimension and minimum spin must equal the
+    multiset's.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "binomial" and spins.num_spins >= 2:
-        steps = _multiplicity_steps(spins)
         twice_j0 = spins.twice_j0
-        entries = []
-        for kappa in range(steps + 1):
-            lam = lambda_binomial(spins, kappa)
-            if lam < 1:
-                raise ValueError(
-                    f"inconsistent multiplicity {lam} at kappa={kappa}"
-                )
-            entries.append((twice_j0 - 2 * kappa, lam))
-        table = DecompositionTable(tuple(entries))
+        table = DecompositionTable(tuple(
+            (twice_j0 - 2 * kappa, lambda_binomial(spins, kappa))
+            for kappa in range(_multiplicity_steps(spins) + 1)
+        ))
     else:
-        table = lambda_from_omega(omega_table(spins, method))
+        omega = omega_table(spins, method)
+        table = difference_decomposition(omega.omega, omega.twice_j0)
     expected = (spins.total_dimension, spins.twice_jmin)
     if (table.total_dimension, table.twice_jmin) != expected:
         raise ValueError(f"inconsistent decomposition of {spins.canonical()}")
@@ -474,11 +445,7 @@ def omega_univariate(twice_j: int, num: int, n: int) -> int:
         raise DomainError("omega_univariate needs twice_j >= 1 and num >= 1")
     if n < 0:
         return 0
-    step = twice_j + 1
-    total = 0
-    for s in range(n // step + 1):
-        total += (-1) ** s * binom(num + n - 1 - step * s, num - 1) * binom(num, s)
-    return total
+    return _alternating_sum(((twice_j, num),), num - 1, n)
 
 
 def lambda_univariate(twice_j: int, num: int, kappa: int) -> int:
@@ -497,11 +464,7 @@ def lambda_univariate(twice_j: int, num: int, kappa: int) -> int:
     spins = SpinMultiset.from_entries({twice_j: num})
     if kappa < 0 or kappa > _multiplicity_steps(spins):
         raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
-    step = twice_j + 1
-    total = 0
-    for s in range(kappa // step + 1):
-        total += (-1) ** s * binom(num + kappa - 2 - step * s, num - 2) * binom(num, s)
-    return total
+    return _alternating_sum(spins.entries, num - 2, kappa)
 
 
 def omega_zero_range(num: int, n: int) -> int:
@@ -562,6 +525,18 @@ def _reduced_parameters(
     return uppers, lowers
 
 
+def _univariate_hypergeometric(twice_j: int, num: int, n: int, top: int) -> Fraction:
+    # The series of omega_univariate_hypergeometric with n and pair offset
+    # top: N - 1 for Omega_n, N - 2 for lambda_kappa (as in _alternating_sum).
+    modulus = twice_j + 1
+    family_uppers = [Fraction(-(n - i), modulus) for i in range(modulus)]
+    family_lowers = [Fraction(-(top + n - i), modulus) for i in range(modulus)]
+    uppers, lowers = _reduced_parameters(
+        Fraction(-num), family_uppers, family_lowers, top
+    )
+    return binom(top + n, n) * eval_terminating_pfq(uppers, lowers)
+
+
 def omega_univariate_hypergeometric(twice_j: int, num: int, n: int) -> Fraction:
     """omega_univariate as a terminating hypergeometric series at unit argument.
 
@@ -576,13 +551,7 @@ def omega_univariate_hypergeometric(twice_j: int, num: int, n: int) -> Fraction:
         )
     if n < 0:
         return Fraction(0)
-    modulus = twice_j + 1
-    family_uppers = [Fraction(-(n - i), modulus) for i in range(modulus)]
-    family_lowers = [Fraction(-(num + n - 1 - i), modulus) for i in range(modulus)]
-    uppers, lowers = _reduced_parameters(
-        Fraction(-num), family_uppers, family_lowers, num - 1
-    )
-    return binom(num + n - 1, n) * eval_terminating_pfq(uppers, lowers)
+    return _univariate_hypergeometric(twice_j, num, n, num - 1)
 
 
 def lambda_univariate_hypergeometric(twice_j: int, num: int, kappa: int) -> Fraction:
@@ -599,12 +568,4 @@ def lambda_univariate_hypergeometric(twice_j: int, num: int, kappa: int) -> Frac
     spins = SpinMultiset.from_entries({twice_j: num})
     if kappa < 0 or kappa > _multiplicity_steps(spins):
         raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
-    modulus = twice_j + 1
-    family_uppers = [Fraction(-(kappa - i), modulus) for i in range(modulus)]
-    family_lowers = [
-        Fraction(-(num + kappa - 2 - i), modulus) for i in range(modulus)
-    ]
-    uppers, lowers = _reduced_parameters(
-        Fraction(-num), family_uppers, family_lowers, num - 2
-    )
-    return binom(num + kappa - 2, kappa) * eval_terminating_pfq(uppers, lowers)
+    return _univariate_hypergeometric(twice_j, num, kappa, num - 2)

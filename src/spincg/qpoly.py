@@ -71,12 +71,6 @@ class IntPolynomial:
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        return cls((0,) * power + (coeff,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

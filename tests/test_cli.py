@@ -217,6 +217,32 @@ def test_oracle_identical_matches_fast(capsys):
         assert json.loads(oracle_out)["terms"] == json.loads(fast_out)["terms"]
 
 
+def test_oracle_identical_full_enumerates_every_state(capsys):
+    for fmt in ("text", "json"):
+        code, by_j, err = run(
+            capsys, "oracle", "--j", "1", "--num", "2", "--composition", "full",
+            "--format", fmt,
+        )
+        assert code == 0 and err == ""
+        code, by_spins, _ = run(capsys, "oracle", "--spins", "1^2", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            by_j, by_spins = json.loads(by_j), json.loads(by_spins)
+            assert by_j["total_dimension"] == "9"
+            del by_j["spins"], by_spins["spins"]
+        else:
+            assert "total dimension: 9" in by_j.splitlines()
+            by_j, by_spins = by_j.splitlines()[1:], by_spins.splitlines()[1:]
+        assert by_j == by_spins
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_oracle_budget_below_one_is_a_domain_error(capsys, budget):
+    for argv in (["--spins", "1^2"], ["--j", "1", "--num", "2", "--composition", "full"]):
+        code, out, err = run(capsys, "oracle", *argv, "--budget", budget)
+        assert (code, out, err) == (3, "", "error: --budget must be >= 1\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "cgd", "--spins", "0^2")
     assert code == 2 and err.startswith("error:")

@@ -174,19 +174,27 @@ def test_omega_recurrence_rejects_an_inexact_step():
 def test_decompose_checks_survive_optimized_mode():
     # python -O strips asserts (the script's first assert proves it); the
     # post-conditions of decompose must still reject a wrong multiplicity
-    # table there
+    # table there, on the binomial route and on the Omega-difference route
     script = (
         "import importlib, sys\n"
         "assert False, 'asserts are on'\n"
         "d = importlib.import_module('spincg.decompose')\n"
-        "exact = d.lambda_binomial\n"
-        "d.lambda_binomial = lambda spins, kappa: exact(spins, kappa) + 1\n"
-        "try:\n"
-        "    d.decompose(d.SpinMultiset.from_entries({2: 3}), 'binomial')\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n"
+        "spins = d.SpinMultiset.from_entries({2: 3})\n"
+        "exact_lambda, exact_omega = d.lambda_binomial, d.omega_genfunc\n"
+        "def raised_omega(spins):\n"
+        "    values = list(exact_omega(spins).values)\n"
+        "    values[1] += 1\n"
+        "    values[-2] += 1\n"
+        "    return d.OmegaTable(tuple(values), spins.twice_j0)\n"
+        "d.lambda_binomial = lambda spins, kappa: exact_lambda(spins, kappa) + 1\n"
+        "d.omega_genfunc = raised_omega\n"
+        "for method in ('binomial', 'genfunc'):\n"
+        "    try:\n"
+        "        d.decompose(spins, method)\n"
+        "    except ValueError as exc:\n"
+        "        print(method, exc)\n"
+        "    else:\n"
+        "        sys.exit(1)\n"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -194,7 +202,10 @@ def test_decompose_checks_survive_optimized_mode():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert result.returncode == 0, result.stderr
-    assert "inconsistent decomposition" in result.stdout
+    assert result.stdout.splitlines() == [
+        "binomial inconsistent decomposition of 1^3",
+        "genfunc inconsistent decomposition of 1^3",
+    ]
 
 
 def test_omega_table_methods_agree():
@@ -242,6 +253,10 @@ def test_lambda_from_omega_small():
         lambda_from_omega(OmegaTable((2, 1), 1))  # Omega_0 must be 1
     with pytest.raises(ValueError):
         lambda_from_omega(OmegaTable((1, 2, 5), 2))  # dimension audit fails
+    with pytest.raises(ValueError):
+        # palindromic, and sum lambda (2J+1) = sum Omega = 8, but the
+        # differences 1, 0, 1 leave a gap below J_0
+        lambda_from_omega(OmegaTable((1, 1, 2, 2, 1, 1), 5))
 
 
 def test_difference_decomposition_matches_lambda_from_omega():
