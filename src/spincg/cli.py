@@ -171,8 +171,6 @@ def _fraction_decimal(value: Fraction, digits: int) -> str:
     if 2 * remainder >= value.denominator:
         scaled += 1
     whole, frac = divmod(scaled, scale)
-    if digits == 0:
-        return str(whole)
     return f"{whole}.{frac:0{digits}d}"
 
 
@@ -231,7 +229,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         oracle = oracle_sym if composition == "symmetric" else oracle_antisym
         omega = oracle(system.twice_j, system.count, budget)
-        table = difference_decomposition(omega.omega, spins.twice_j0)
+        table = difference_decomposition(omega.values, spins.twice_j0)
     _print_decomposition(table, spins.canonical(), args.format, composition)
     return 0
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul, sub
 
 from .errors import DomainError
@@ -347,7 +347,7 @@ def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
     """
     if table.omega(0) != 1:
         raise ValueError("inconsistent omega table: Omega_0 must be 1")
-    result = difference_decomposition(table.omega, table.twice_j0)
+    result = difference_decomposition(table.values, table.twice_j0)
     contiguous_end = table.twice_j0 - 2 * (len(result.entries) - 1)
     if (result.twice_jmin, result.total_dimension) != (contiguous_end, table.total):
         raise ValueError(
@@ -356,21 +356,24 @@ def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
     return result
 
 
-def difference_decomposition(omega_at, twice_j0: int) -> DecompositionTable:
-    """First-difference multiplicities from any Omega accessor.
+def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
+    """First-difference multiplicities from a sequence of Omega values.
 
-    Scans kappa = 0 .. floor(2J_0 / 2), keeps positive differences, and
-    places each at twice_J = 2J_0 - 2 kappa.  The one scan for decompose,
-    lambda_from_omega and the symmetric and antisymmetric tables (whose
-    support starts above zero); it makes no structural demands on the
-    table, and lambda_from_omega and decompose audit what it returns.
+    values[n] is Omega_n, and entries past its end read as 0, so a table
+    shorter than 2J_0 + 1 (the antisymmetric oracle's, empty under Pauli
+    exclusion) needs no padding.  One map(sub, ...) differences kappa = 0 ..
+    floor(2J_0 / 2); the positive differences are kept, each at twice_J =
+    2J_0 - 2 kappa.  The one scan for decompose, lambda_from_omega and the
+    symmetric and antisymmetric tables (whose support starts above zero);
+    it makes no structural demands on the table, and lambda_from_omega and
+    decompose audit what it returns.
     """
-    entries = []
-    for kappa in range(twice_j0 // 2 + 1):
-        lam = omega_at(kappa) - omega_at(kappa - 1)
-        if lam > 0:
-            entries.append((twice_j0 - 2 * kappa, lam))
-    return DecompositionTable(tuple(entries))
+    half = twice_j0 // 2
+    head = list(values[: half + 1])
+    head += [0] * (half + 1 - len(head))
+    lams = list(map(sub, head, [0] + head))
+    kept = map((0).__lt__, lams)
+    return DecompositionTable(tuple(compress(zip(range(twice_j0, -1, -2), lams), kept)))
 
 
 def lambda_genfunc(spins: SpinMultiset) -> IntPolynomial:
@@ -428,7 +431,7 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
         ))
     else:
         omega = omega_table(spins, method)
-        table = difference_decomposition(omega.omega, omega.twice_j0)
+        table = difference_decomposition(omega.values, omega.twice_j0)
     expected = (spins.total_dimension, spins.twice_jmin)
     if (table.total_dimension, table.twice_jmin) != expected:
         raise ValueError(f"inconsistent decomposition of {spins.canonical()}")

@@ -81,7 +81,7 @@ def _half_span_table(a: int, system: IdenticalSystem, shift: int) -> Decompositi
     # product supplies every Omega they read.
     twice_j0 = system.twice_j * system.count
     omega = [0] * shift + _gaussian_coefficients(a, system.count, twice_j0 // 2 - shift)
-    return difference_decomposition(lambda n: omega[n] if n >= 0 else 0, twice_j0)
+    return difference_decomposition(omega, twice_j0)
 
 
 def antisym_genfunc(system: IdenticalSystem) -> IntPolynomial:

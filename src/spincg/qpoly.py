@@ -9,21 +9,26 @@
   parts, each part at most n.
 
 The Gaussian binomials and the partition counts come from one routine,
-_q_ratio_product: a product of q-ratios (1 - q^u) / (1 - q^v) truncated at
-the highest coefficient asked for.  The Omega product prod [2j+1]_q uses it
-when the spins are spread over many species; otherwise decompose builds it
-by a recurrence whose cost is set by the number of species.  The other
-routes (IntPolynomial products, factorial division, nested sums) are
-cross-checks.
+_gaussian_coefficients: a product of q-ratios (1 - q^u) / (1 - q^v)
+truncated at the highest coefficient asked for.  It packs the product into
+one integer, a 64-bit word per coefficient, where every coefficient fits a
+word and the measured crossover favours that; otherwise it runs
+_q_ratio_product on a list.  The Omega product prod [2j+1]_q uses
+_q_ratio_product when the spins are spread over many species; otherwise
+decompose builds it by a recurrence whose cost is set by the number of
+species.  The other routes (IntPolynomial products, factorial division,
+nested sums) are cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import sub
 
 from .errors import DomainError
@@ -221,14 +226,58 @@ def _q_ratio_product(pairs: list[tuple[int, int]], top: int) -> list[int]:
     return coeffs
 
 
+_WORD = 64  # bits per packed coefficient; memoryview reads them as "Q"
+
+
 def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     """Coefficients 0..top of [a choose b]_q, for 0 <= b <= a.
 
     prod_{i=1..c} (1 - q^(a-c+i)) / (1 - q^i) with c = min(b, a - b); the
     partial products are the Gaussian binomials [a-c+i choose i]_q.
+
+    Packed route (Kronecker substitution).  q -> X = 2^64 is a ring
+    homomorphism Z[q]/(q^(top+1)) -> Z/2^(64(top+1)), so the product can
+    run on one int: times (1 - X^u) is a shift, a subtraction and a mask,
+    and over (1 - X^v) is times prod_t (1 + X^(v 2^t)) for v 2^t <= top,
+    the inverse of the odd 1 - X^v modulo X^(top+1).  Intermediate
+    coefficients may go negative; the arithmetic is modular, so that does
+    no harm.  The coefficients of [a choose b]_q are nonnegative and sum to
+    C(a, b) = C(a, c), so each lies in [0, C(a, c)], and when C(a, c) < 2^64
+    the 64-bit words of the residue are exactly the coefficients.
+
+    Route rule.  The packed form pays about log2(top / v) full-width passes
+    per denominator where the list pays two passes per factor, so it wins
+    with many factors over short spans.  With top at half the degree, the
+    list/packed time ratio read 1.0-1.9 at top = 4 c^2 for c = 2..12, but
+    0.6-1.0 at top = 16-32 c^2 for c <= 3, where c >= 5 still read 1.1-1.8
+    (medians of 5, CPython 3.11, one KVM core).  So it packs only for
+    top <= 4 c^2, which is conservative from c = 5 on, and the list kernel
+    runs elsewhere.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests
+    c <= 33 first and evaluates comb only where a word can hold it.
     """
     c = min(b, a - b)
+    if c <= 33 and top <= 4 * c * c and comb(a, c) < 1 << _WORD:
+        return _packed_gaussian(a - c, c, top)
     return _q_ratio_product([(a - c + i, i) for i in range(1, c + 1)], top)
+
+
+def _packed_gaussian(offset: int, c: int, top: int) -> list[int]:
+    # prod_{i=1..c} (1 - X^(offset+i)) / (1 - X^i) mod X^(top+1), X = 2^64.
+    # After i factors the product is [offset+i choose i]_q, of degree
+    # i*offset, so each factor runs modulo X^(min(top, i*offset)+1) and the
+    # residue carries over exactly to the next, wider modulus.
+    x = 1
+    for i in range(1, c + 1):
+        end = min(top, i * offset)
+        mask = (1 << _WORD * (end + 1)) - 1
+        if offset + i <= end:
+            x = (x - (x << _WORD * (offset + i))) & mask
+        step = i
+        while step <= end:
+            x = (x + (x << _WORD * step)) & mask
+            step += step
+    words = x.to_bytes((top + 1) * _WORD // 8, sys.byteorder)
+    return memoryview(words).cast("Q").tolist()
 
 
 def q_binomial(a: int, b: int) -> IntPolynomial:

@@ -217,6 +217,45 @@ def test_oracle_identical_matches_fast(capsys):
         assert json.loads(oracle_out)["terms"] == json.loads(fast_out)["terms"]
 
 
+IDENTICAL_RENDERINGS = {
+    ("symmetric", "1", "3"): (
+        "spins: 1^3\ncomposition: symmetric\ntotal dimension: 10\n"
+        "J = 3: 1\nJ = 1: 1\n",
+        '{"spins": "1^3", "composition": "symmetric", "twice_J0": 6, '
+        '"twice_Jm": 2, "total_dimension": "10", "terms": [{"twice_J": 6, '
+        '"J": "3", "multiplicity": "1"}, {"twice_J": 2, "J": "1", '
+        '"multiplicity": "1"}]}\n',
+    ),
+    ("antisymmetric", "3/2", "3"): (
+        "spins: 3/2^3\ncomposition: antisymmetric\ntotal dimension: 4\n"
+        "J = 3/2: 1\n",
+        '{"spins": "3/2^3", "composition": "antisymmetric", "twice_J0": 3, '
+        '"twice_Jm": 3, "total_dimension": "4", "terms": [{"twice_J": 3, '
+        '"J": "3/2", "multiplicity": "1"}]}\n',
+    ),
+    ("antisymmetric", "1", "4"): (
+        "spins: 1^4\ncomposition: antisymmetric\nno states (exclusion)\n",
+        '{"spins": "1^4", "composition": "antisymmetric", "twice_J0": null, '
+        '"twice_Jm": null, "total_dimension": "0", "terms": []}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTICAL_RENDERINGS))
+def test_identical_verbs_render_byte_for_byte(capsys, case):
+    # the oracle's table (shorter than 2J_0 + 1 for antisymmetric, empty
+    # under exclusion) and the fast path's half span render the same bytes
+    composition, j, num = case
+    verb = "sym" if composition == "symmetric" else "antisym"
+    text, doc = IDENTICAL_RENDERINGS[case]
+    for fmt, expected in (((), text), (("--format", "json"), doc)):
+        for argv in (
+            ("oracle", "--j", j, "--num", num, "--composition", composition, *fmt),
+            (verb, "--j", j, "--num", num, *fmt),
+        ):
+            assert run(capsys, *argv) == (0, expected, ""), argv
+
+
 def test_oracle_identical_full_enumerates_every_state(capsys):
     for fmt in ("text", "json"):
         code, by_j, err = run(

@@ -32,6 +32,7 @@ from spincg import (
     omega_table,
     omega_univariate,
     omega_zero_range,
+    oracle_antisym,
     parse_spins,
     q_analogue,
 )
@@ -262,8 +263,30 @@ def test_lambda_from_omega_small():
 def test_difference_decomposition_matches_lambda_from_omega():
     for text in ("1/2^2,1^4", "1^3", "5/2", "1/2,3/2^2,2"):
         table = omega_genfunc(parse_spins(text))
-        assert difference_decomposition(table.omega, table.twice_j0) == \
+        assert difference_decomposition(table.values, table.twice_j0) == \
             lambda_from_omega(table)
+
+
+def test_difference_decomposition_reads_a_sequence():
+    # entries past the end read as 0: (1, 2) over a span of 6 differences
+    # to 1, 1, -2, 0, of which the positive ones stay
+    for values in ((1, 2), [1, 2], (1, 2, 0, 0)):
+        assert difference_decomposition(values, 6).entries == ((6, 1), (4, 1))
+    # the 0 read past the end is a value like any other: after a negative
+    # last entry it differences to a positive multiplicity
+    assert difference_decomposition((1, -1), 4).entries == ((4, 1), (0, 1))
+    # only the half span is read; what lies past it is ignored
+    assert difference_decomposition((1, 1, 2, 9, 9, 9), 4).entries == ((4, 1), (0, 1))
+    # the empty table of Pauli exclusion, at its own span and at 2J_0
+    excluded = oracle_antisym(2, 4)
+    assert excluded.values == ()
+    assert difference_decomposition(excluded.values, excluded.twice_j0).entries == ()
+    assert difference_decomposition(excluded.values, 8).entries == ()
+    # the scan keeps a gap below J_0; lambda_from_omega's audit rejects it
+    gapped = OmegaTable((1, 1, 2, 2, 1, 1), 5)
+    assert difference_decomposition(gapped.values, 5).entries == ((5, 1), (1, 1))
+    with pytest.raises(ValueError, match="do not account"):
+        lambda_from_omega(gapped)
 
 
 @given(entries_strategy)

@@ -23,6 +23,7 @@ from spincg import (
     restricted_partitions,
     sum_phi_equals_p,
 )
+from spincg.qpoly import _gaussian_coefficients, _packed_gaussian, _q_ratio_product
 from spincg.util import binom
 
 
@@ -155,6 +156,82 @@ def test_q_to_one_binomial_sum_identities():
             want = math.comb(a, b)
             assert sum(binom(a - b - 1 + n, n) for n in range(b + 1)) == want
             assert sum(binom(b - 1 + n, n) for n in range(a - b + 1)) == want
+
+
+# ------------------------------------------------- packed Gaussian product
+
+
+def list_gaussian(a: int, b: int, top: int) -> list[int]:
+    # the list kernel on the same q-ratios, which the packed route replaces
+    c = min(b, a - b)
+    return _q_ratio_product([(a - c + i, i) for i in range(1, c + 1)], top)
+
+
+def test_packed_gaussian_matches_list_kernel():
+    # every b <= a <= 70 whose coefficients fit a word, at full degree, at
+    # half span, at short spans, and on both sides of the route rule
+    # top <= 4c^2.  The packed kernel is called directly, so it is checked
+    # where the rule would not pick it too.  Truncation commutes with the
+    # product, so every top is checked against a prefix of the full list,
+    # mirrored from the list kernel's half span.
+    packed = 0
+    for a in range(71):
+        for b in range(a + 1):
+            c = min(b, a - b)
+            if math.comb(a, c) >= 1 << 64:
+                continue
+            degree = b * (a - b)
+            half = list_gaussian(a, b, degree // 2)
+            full = half + half[: (degree + 1) // 2][::-1]  # palindromic
+            assert sum(full) == math.comb(a, b)
+            full.append(0)  # for top = 1 > degree = 0
+            for top in {0, 1, degree // 2, degree}:
+                assert _packed_gaussian(a - c, c, top) == full[: top + 1], (a, b, top)
+            for top in (4 * c * c, 4 * c * c + 1):
+                if top <= degree:
+                    assert _gaussian_coefficients(a, b, top) == full[: top + 1], (a, b, top)
+                    assert _packed_gaussian(a - c, c, top) == full[: top + 1], (a, b, top)
+                    packed += top == 4 * c * c
+    assert packed > 500
+
+
+def test_packed_gaussian_matches_factorial_division():
+    for a in range(0, 19):
+        for b in range(0, a + 1):
+            c = min(b, a - b)
+            want = q_binomial_by_division(a, b).coeffs
+            assert tuple(_packed_gaussian(a - c, c, b * (a - b))) == want, (a, b)
+
+
+def test_word_boundary():
+    # C(67, 33) is the widest central binomial a 64-bit word holds
+    assert math.comb(67, 33) < 1 << 64 <= math.comb(68, 34)
+    for a, b in ((67, 33), (67, 34), (68, 34), (68, 33), (69, 34)):
+        degree = b * (a - b)
+        for top in (degree // 2, degree):
+            got = _gaussian_coefficients(a, b, top)
+            assert got == list_gaussian(a, b, top), (a, b, top)
+            if top == degree:
+                assert sum(got) == math.comb(a, b)
+                assert got == list(q_binomial(a, b).coeffs)
+    # within the rule's other limits (c <= 33, top <= 4c^2), but with middle
+    # coefficients past a word: these must take the list kernel
+    for a, b in ((100, 33), (80, 30)):
+        top = b * (a - b) // 2
+        got = _gaussian_coefficients(a, b, top)
+        assert top <= 4 * b * b and max(got) >= 1 << 64
+        assert got == list_gaussian(a, b, top)
+
+
+def test_restricted_partitions_match_oracle_at_the_route_rule():
+    # c = min(n, m); k up to 4c^2 packs and k past it takes the list kernel
+    # (both below nm / 2, where k is read as it is); nm - k folds back to k
+    for n, m in ((2, 40), (3, 40), (40, 3), (4, 40)):
+        c = min(n, m)
+        assert 4 * c * c + 2 < n * m / 2
+        for k in range(4 * c * c - 1, 4 * c * c + 3):
+            assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
+            assert restricted_partitions(n, m, n * m - k) == restricted_partitions(n, m, k)
 
 
 # ------------------------------------------------------- restricted partitions
