@@ -26,11 +26,11 @@ from .counting import (
 from .decompose import (
     DecompositionTable,
     METHODS,
+    _omega_at,
     decompose,
     difference_decomposition,
     lambda_from_omega,
     lambda_genfunc,
-    omega_binomial,
     omega_genfunc,
 )
 from .errors import BudgetExceededError, DomainError, SpinParseError
@@ -93,7 +93,7 @@ def _cmd_cgd(args: argparse.Namespace) -> int:
 def _cmd_omega(args: argparse.Namespace) -> int:
     spins = parse_spins(args.spins)
     if args.n is not None:
-        value = omega_binomial(spins, args.n)
+        value = _omega_at(spins, args.n)
         if args.format == "json":
             print(json.dumps(
                 {"spins": spins.canonical(), "n": args.n, "omega": str(value)}
@@ -218,7 +218,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     elif args.j is None or args.num is None or args.composition is None:
         raise SpinParseError(
             "oracle needs either --spins, or --j/--num with "
-            "--composition {symmetric,antisymmetric}"
+            "--composition {full,symmetric,antisymmetric}"
         )
     else:
         system = _identical_system(args)

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decompose import decompose, omega_binomial
+from .decompose import _omega_at, decompose
 from .errors import DomainError, SpinParseError
 from .spins import SpinMultiset
 
@@ -139,12 +139,12 @@ def count_compositions(spec: CompositionSpec, n: int) -> int:
     """
     if spec.zero_allowed:
         multiset = SpinMultiset.from_entries(dict(spec.parts))
-        return omega_binomial(multiset, n)
+        return _omega_at(multiset, n)
     shifted = {bound - 1: count for bound, count in spec.parts if bound >= 2}
     target = n - spec.num_parts
     if not shifted:
         return 1 if target == 0 else 0
-    return omega_binomial(SpinMultiset.from_entries(shifted), target)
+    return _omega_at(SpinMultiset.from_entries(shifted), target)
 
 
 def dice_probability(num_dice: int, total: int) -> Fraction:

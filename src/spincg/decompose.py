@@ -6,7 +6,8 @@ the table of z-projection subspace dimensions Omega_n = dim of the subspace
 where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
 
 * generating function: Omega_n is the q^n coefficient of
-  prod_i [2j_i + 1]_q,
+  prod_i [2j_i + 1]_q, by q-ratios or, when 4 (sigma + 1) < N for sigma
+  distinct spins, by the recurrence its logarithmic derivative gives,
 * generalized binomial: an alternating sum of binomial products per n,
 * multi-restricted composition: a sum over partitions of n placed into the
   spin "channels", counting the ways each part fits.
@@ -27,10 +28,14 @@ forms; those live here too, next to the machinery they cross-check.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import mul, sub
+from functools import cached_property
+from itertools import compress, islice, starmap
+from math import prod
+from operator import getitem, itemgetter, mul, sub
 
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
@@ -131,9 +136,11 @@ class DecompositionTable:
             raise ValueError("empty decomposition has no minimum spin")
         return self.entries[-1][0]
 
-    @property
+    @cached_property
     def total_dimension(self) -> int:
-        return sum(mult * (tj + 1) for tj, mult in self.entries)
+        # decompose's audit and to_json_dict both read it; the sum
+        # mult * (2J + 1) is taken as sum mult * 2J + sum mult, two C-level passes
+        return sum(starmap(mul, self.entries)) + sum(map(itemgetter(1), self.entries))
 
     def to_json_dict(self, spins: str, composition: str | None = None) -> dict:
         """JSON document with canonical key order.
@@ -162,86 +169,74 @@ def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
     are computed; the rest is their mirror.  Two routes build that half:
 
     * the q-ratio kernel, one ratio [2j+1]_q = (1 - q^(2j+1)) / (1 - q)
-      per spin: about N * J_0 coefficient additions;
-    * the holonomic recurrence of _omega_recurrence, whose cost is set by
-      the sigma species, not the N spins: about 2^(sigma+2) * J_0
-      multiply-adds, since its two coefficient polynomials have at most
-      2^(sigma+1) terms each.
+      per spin: two C-level passes over the list per spin;
+    * the logarithmic-derivative recurrence of _omega_coefficients, whose
+      cost is set by the sigma species, not the N spins: sigma + 1
+      products per coefficient.
 
-    The recurrence runs when 2^(sigma+2) < N.  G_Omega is D-finite
-    (Stanley, EC2 6.4), and the recurrence is a variant of J. C. P.
-    Miller's power-series recurrence (Knuth, TAOCP vol. 2, 4.7).
+    The recurrence runs when 4 (sigma + 1) < N, where the two measured
+    about even (CPython 3.11, sigma = 1 .. 8).
     """
     span = spins.twice_j0
     half = span // 2
-    if 2 ** (spins.num_distinct + 2) < spins.num_spins:
-        head = _omega_recurrence(spins.entries, half)
+    if 4 * (spins.num_distinct + 1) < spins.num_spins:
+        head = list(_omega_coefficients(spins.entries, half))
     else:
         head = _q_ratio_product([(tj + 1, 1) for tj in spins.twice_spins], half)
     return OmegaTable(tuple(head + head[: span - half][::-1]), span)
 
 
-def _holonomic_terms(
-    entries: tuple[tuple[int, int], ...],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Nonzero (k, coefficient) terms of Q and R, with Q * G' = R * G.
+def _omega_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Iterator[int]:
+    """Yield Omega_0 .. Omega_top of G = prod_a [d_a]_q^(N_a), d_a = 2j_a + 1.
 
-    For G = prod_a [d_a]_q^(N_a), d_a = 2j_a + 1, N = sum N_a and
-    P = prod_a (1 - q^(d_a)): Q = (1 - q) P and
-    R = N P - (1 - q) sum_a N_a d_a q^(d_a - 1) P / (1 - q^(d_a)),
-    the logarithmic derivative of G cleared of its denominators.
+    The logarithmic derivative G'/G = N / (1 - q) - sum_a N_a d_a
+    q^(d_a - 1) / (1 - q^(d_a)), N = sum N_a, gives
+    (n+1) Omega_{n+1} = N sum_{i <= n} Omega_i - sum_a N_a d_a u_a[n+1-d_a],
+    where u_a[m] = Omega_m + u_a[m - d_a] runs along one residue class mod
+    d_a: the device of Euler's n p(n) = sum_k sigma(k) p(n - k) for
+    partitions (Andrews, The Theory of Partitions, 1; Stanley, EC1 1.8).
+    Each deque holds the last d_a running sums of one species, so its head
+    is u_a[n+1-d_a]; a species with d_a > top never reaches a nonzero one
+    and is left out.  The state is O(sum d_a) besides what the caller
+    keeps.  The division is exact; a remainder means an arithmetic bug.
     """
     num = sum(mult for _, mult in entries)
-    size = sum(twice_j + 1 for twice_j, _ in entries) + 2
-    p = [1] + [0] * (size - 1)
-    for twice_j, _ in entries:
-        d = twice_j + 1
-        p[d:] = map(sub, p[d:], p[: size - d])
-    s = [0] * size
-    for twice_j, mult in entries:
-        # P / (1 - q^d) by running sums along each residue class mod d
-        d = twice_j + 1
-        cofactor = p[:]
-        for r in range(d):
-            cofactor[r::d] = accumulate(cofactor[r::d])
-        weight = mult * d
-        for k in range(size - d + 1):
-            s[k + d - 1] += weight * cofactor[k]
-    q = list(map(sub, p, [0] + p[:-1]))
-    r = [num * pk - sk + sk_1 for pk, sk, sk_1 in zip(p, s, [0] + s[:-1])]
-    return (
-        [(k, c) for k, c in enumerate(q) if c],
-        [(k, c) for k, c in enumerate(r) if c],
-    )
-
-
-def _omega_recurrence(entries: tuple[tuple[int, int], ...], top: int) -> list[int]:
-    """Coefficients 0..top of prod_a [2j_a+1]_q^(N_a) by a linear recurrence.
-
-    From Q * G' = R * G (see _holonomic_terms) and Q_0 = 1:
-    (n+1) g_{n+1} = sum_k R_k g_{n-k} - sum_{k>=1} Q_k (n+1-k) g_{n+1-k}.
-    g holds the coefficients and h the n * g_n, both behind a run of
-    zeros, so every term reads a fixed offset from the end of the list.
-    The division is exact; a remainder means an arithmetic bug.
-    """
-    q_terms, r_terms = _holonomic_terms(entries)
-    pad = max(k for k, _ in q_terms + r_terms) + 1
-    g = [0] * pad + [1]
-    h = [0] * (pad + 1)
-    r_coeffs = [c for _, c in r_terms]
-    r_at = [-1 - k for k, _ in r_terms]
-    q_coeffs = [c for k, c in q_terms if k]
-    q_at = [-k for k, _ in q_terms if k]
-    g_at, h_at = g.__getitem__, h.__getitem__
+    kept = [(twice_j + 1, mult) for twice_j, mult in entries if twice_j < top]
+    weights = [d * mult for d, mult in kept]
+    sums = [deque([0] * (d - 1) + [1], maxlen=d) for d, _ in kept]
+    appends = [s.append for s in sums]
+    heads_at = [0] * len(sums)
+    total = 1  # Omega_0 + ... + Omega_{n-1}
+    yield 1
     for n in range(1, top + 1):
-        total = sum(map(mul, r_coeffs, map(g_at, r_at)))
-        total -= sum(map(mul, q_coeffs, map(h_at, q_at)))
-        value, rem = divmod(total, n)
+        heads = list(map(getitem, sums, heads_at))
+        value, rem = divmod(num * total - sum(map(mul, weights, heads)), n)
         if rem:
-            raise ArithmeticError(f"holonomic recurrence: inexact step at n={n}")
-        g.append(value)
-        h.append(total)
-    return g[pad:]
+            raise ArithmeticError(f"Omega recurrence: inexact step at n={n}")
+        total += value
+        for append, head in zip(appends, heads):
+            append(value + head)
+        yield value
+
+
+def _omega_at(spins: SpinMultiset, n: int) -> int:
+    """Single Omega_n by the cheaper of the recurrence and the binomial sum.
+
+    The recurrence runs to m = min(n, 2J_0 - n), the nearer end of the
+    palindrome: about m (sigma + 1) products.  omega_binomial visits at
+    most prod_a (min(N_a, n // d_a) + 1) choices (s_a), each a binomial of
+    about N - 1 products.  Measured on CPython 3.11, a recurrence product
+    cost about eight of those; a fuller cost model is still open.
+    Out-of-range n returns 0.
+    """
+    span = spins.twice_j0
+    if n < 0 or n > span:
+        return 0
+    steps = min(n, span - n)
+    choices = prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
+    if 8 * steps * (spins.num_distinct + 1) < choices * (spins.num_spins - 1):
+        return next(islice(_omega_coefficients(spins.entries, steps), steps, None))
+    return omega_binomial(spins, n)
 
 
 def _alternating_sum(entries: tuple[tuple[int, int], ...], top: int, n: int) -> int:

@@ -15,9 +15,10 @@ one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
 _q_ratio_product on a list.  The Omega product prod [2j+1]_q uses
 _q_ratio_product when the spins are spread over many species; otherwise
-decompose builds it by a recurrence whose cost is set by the number of
-species.  The other routes (IntPolynomial products, factorial division,
-nested sums) are cross-checks.
+decompose builds it by the recurrence its logarithmic derivative gives,
+sigma + 1 products per coefficient for sigma species.  The other routes
+(IntPolynomial products, factorial division, nested sums) are
+cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """

@@ -295,8 +295,11 @@ def test_exit_codes(capsys):
         capsys, "oracle", "--spins", "2^12", "--budget", "100"
     )
     assert code == 4 and err.startswith("error:")
-    code, _, err = run(capsys, "oracle", "--j", "1", "--num", "2")
-    assert code == 2  # missing --composition
+    code, out, err = run(capsys, "oracle", "--j", "1", "--num", "2")
+    assert (code, out, err) == (2, "", (  # missing --composition
+        "error: oracle needs either --spins, or --j/--num with "
+        "--composition {full,symmetric,antisymmetric}\n"
+    ))
     code, _, err = run(
         capsys, "oracle", "--spins", "1", "--composition", "symmetric"
     )

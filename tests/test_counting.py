@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -134,3 +135,19 @@ def test_dice_probability():
         assert dice_probability(2, n) == Fraction(direct, 36)
     with pytest.raises(DomainError):
         dice_probability(0, 1)
+
+
+def test_dice_probability_memory_is_bounded_by_the_answer():
+    # 1500 dice summing to 5250 is Omega_3750 of 5/2^1500.  The
+    # recurrence keeps a handful of answer-sized integers, where
+    # omega_binomial's dict of about 625 coefficients peaks at over 250
+    # times the answer's size.  tracemalloc traces only this process.
+    dice_probability(2, 7)  # imports and first-call set-up stay untraced
+    tracemalloc.start()
+    try:
+        prob = dice_probability(1500, 5250)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    answer_bytes = (prob.numerator.bit_length() + prob.denominator.bit_length()) // 8
+    assert peak < 32 * answer_bytes, (peak, answer_bytes)

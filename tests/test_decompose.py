@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -36,7 +37,7 @@ from spincg import (
     parse_spins,
     q_analogue,
 )
-from spincg.decompose import _omega_recurrence
+from spincg.decompose import _omega_at, _omega_coefficients
 from spincg.qpoly import _q_ratio_product
 from spincg.util import binom
 
@@ -102,8 +103,8 @@ def test_worked_example_decomposition():
 
 def test_omega_genfunc_matches_schoolbook_product():
     # IntPolynomial's schoolbook product is the independent reference for
-    # the in-place q-ratio product and the holonomic recurrence, on
-    # multisets with 2J_0 up to about 300
+    # the in-place q-ratio product and the logarithmic-derivative
+    # recurrence, on multisets with 2J_0 up to about 300
     rng = random.Random(20260418)
     multisets = []
     for _ in range(8):
@@ -112,15 +113,19 @@ def test_omega_genfunc_matches_schoolbook_product():
             twice_j = rng.randint(1, 12)
             entries[twice_j] = entries.get(twice_j, 0) + rng.randint(1, 15)
         multisets.append(SpinMultiset.from_entries(entries))
-    # one to eight species, once with one to three spins each (the kernel's
-    # side of the route choice in omega_genfunc) and once with spin 1/2
-    # grown by 2^(sigma+2) spins (the recurrence's side); 1/2^120 is one
-    # species with N >= 100, and eight distinct spins once each close the list
+    # one to eight species: once with one to three spins each (the kernel's
+    # side of the route choice in omega_genfunc), once on each side of its
+    # rule 4 (sigma + 1) < N, and once with spin 1/2 grown by 2^(sigma+2)
+    # spins (large N), spin 1/2 making up the count; 1/2^120 is one species
+    # with N >= 100, and eight distinct spins once each close the list
     many = [parse_spins("1/2^120")]
     for sigma in range(1, 9):
         twice = [1, *rng.sample(range(2, 13), sigma - 1)]
         few = {tj: rng.randint(1, 3) for tj in twice}
         multisets.append(SpinMultiset.from_entries(few))
+        for num in (4 * (sigma + 1), 4 * (sigma + 1) + 1):
+            grown = {**few, 1: few[1] + num - sum(few.values())}
+            multisets.append(SpinMultiset.from_entries(grown))
         many.append(SpinMultiset.from_entries({**few, 1: few[1] + 2 ** (sigma + 2)}))
     multisets.append(SpinMultiset.from_entries(dict.fromkeys(rng.sample(range(1, 13), 8), 1)))
     for spins in multisets + [m for m in many if m.twice_j0 <= 300]:
@@ -131,33 +136,33 @@ def test_omega_genfunc_matches_schoolbook_product():
         span = spins.twice_j0
         pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
         assert tuple(_q_ratio_product(pairs, span)) == reference.coeffs, spins
-        assert tuple(_omega_recurrence(spins.entries, span)) == reference.coeffs, spins
+        assert tuple(_omega_coefficients(spins.entries, span)) == reference.coeffs, spins
     # both routes over the full span, past the half omega_genfunc computes;
     # past 2J_0 = 300 the kernel is the reference
     wide = [m for m in many if m.twice_j0 > 300]
     for spins in [parse_spins("1^400"), parse_spins("1/2^30,1^30,3/2^30"), *wide]:
         pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
         reference = _q_ratio_product(pairs, spins.twice_j0)
-        assert _omega_recurrence(spins.entries, spins.twice_j0) == reference, spins
+        assert list(_omega_coefficients(spins.entries, spins.twice_j0)) == reference, spins
         assert omega_genfunc(spins).values == tuple(reference), spins
 
 
 def test_omega_recurrence_rejects_an_inexact_step():
     # the exact division by n in the recurrence is an if/raise, so python
     # -O (which strips asserts; the script's first assert proves it) still
-    # stops on a wrong coefficient.  1^100 (one species, N = 100) takes the
-    # recurrence route, and a one-off error in R_1 makes 2 g_2 odd.
+    # stops on a wrong coefficient.  Off(100) is a multiplicity of 100 whose
+    # species weight d * Off(100) comes out one too large (int calls a
+    # subclass's __rmul__ first), so 3 Omega_3 = 100 * 5151 - 301 is not a
+    # multiple of 3.
     script = (
         "import importlib, sys\n"
         "assert False, 'asserts are on'\n"
         "d = importlib.import_module('spincg.decompose')\n"
-        "exact = d._holonomic_terms\n"
-        "def wrong(entries):\n"
-        "    q_terms, r_terms = exact(entries)\n"
-        "    return q_terms, r_terms + [(1, 1)]\n"
-        "d._holonomic_terms = wrong\n"
+        "class Off(int):\n"
+        "    def __rmul__(self, other):\n"
+        "        return int(self) * other + 1\n"
         "try:\n"
-        "    d.omega_genfunc(d.SpinMultiset.from_entries({2: 100}))\n"
+        "    list(d._omega_coefficients(((2, Off(100)),), 50))\n"
         "except ArithmeticError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(0)\n"
@@ -169,7 +174,28 @@ def test_omega_recurrence_rejects_an_inexact_step():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert result.returncode == 0, result.stderr
-    assert "inexact step at n=2" in result.stdout
+    assert "inexact step at n=3" in result.stdout
+
+
+def test_single_omega_matches_the_binomial_sum_on_both_routes():
+    # _omega_at takes the recurrence when 8 m (sigma + 1) < choices (N - 1)
+    # and omega_binomial otherwise; both sides must give the binomial sum's
+    # value, out-of-range n included
+    rng = random.Random(20261018)
+    routes = {True: 0, False: 0}
+    for _ in range(120):
+        sigma = rng.randint(1, 4)
+        entries = {tj: rng.randint(1, rng.choice([3, 30, 120]))
+                   for tj in rng.sample(range(1, 16), sigma)}
+        spins = SpinMultiset.from_entries(entries)
+        span = spins.twice_j0
+        for n in (rng.randint(0, span), rng.randint(0, min(span, 12)), -1, span + 1):
+            steps = min(n, span - n)
+            choices = math.prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
+            if 0 <= n <= span:
+                routes[8 * steps * (sigma + 1) < choices * (spins.num_spins - 1)] += 1
+            assert _omega_at(spins, n) == omega_binomial(spins, n), (spins, n)
+    assert min(routes.values()) >= 40, routes
 
 
 def test_decompose_checks_survive_optimized_mode():
