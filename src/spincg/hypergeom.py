@@ -1,8 +1,8 @@
 """Terminating generalized hypergeometric series at unit argument, exactly.
 
 A pFq with at least one nonpositive-integer upper parameter is a finite sum;
-with rational parameters every term is a Fraction, so the value is computed
-without any floating point.  The subspace-dimension and multiplicity
+with rational parameters every term is rational, so the value is computed
+exactly, without any floating point.  The subspace-dimension and multiplicity
 formulas for identical spins are such series, as are the Catalan and Riordan
 number identities they specialize to.
 """
@@ -10,6 +10,7 @@ number identities they specialize to.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .errors import DomainError
@@ -25,13 +26,8 @@ def termination_index(uppers: Iterable[Rational]) -> int | None:
     The series terminates after the term of index K, because the Pochhammer
     factor of that parameter vanishes from then on.
     """
-    candidates = [
-        -int(u) for u in (Fraction(x) for x in uppers)
-        if u <= 0 and u.denominator == 1
-    ]
-    if not candidates:
-        return None
-    return min(candidates)
+    integers = [-int(u) for u in map(Fraction, uppers) if u <= 0 and u.denominator == 1]
+    return min(integers, default=None)
 
 
 def eval_terminating_pfq(
@@ -44,7 +40,9 @@ def eval_terminating_pfq(
     upper parameter is a nonpositive integer (the series would not
     terminate) and ZeroDivisionError if a lower parameter hits zero before
     the series terminates; such a cancellation must be resolved by the
-    caller, never silently skipped.
+    caller, never silently skipped.  A factor a + k is (p + k q) / q for
+    a = p / q, so the terms and their sum are integers over one common
+    denominator, with no gcd until the one Fraction at the end.
     """
     ups = [Fraction(u) for u in uppers]
     los = [Fraction(b) for b in lowers]
@@ -53,21 +51,21 @@ def eval_terminating_pfq(
         raise DomainError(
             "series does not terminate: no nonpositive-integer upper parameter"
         )
-    total = Fraction(1)
-    term = Fraction(1)
+    pole = termination_index(los)  # the first k at which some b + k = 0
+    if pole is not None and pole < stop:
+        raise ZeroDivisionError(
+            f"lower parameter {-pole} reaches zero at term {pole + 1} "
+            f"before the series terminates at {stop}"
+        )
+    up_pairs = [(a.numerator, a.denominator) for a in ups]
+    lo_pairs = [(b.numerator, b.denominator) for b in los]
+    up_scale = prod(q for _, q in up_pairs)
+    lo_scale = prod(q for _, q in lo_pairs)
+    term = total = scale = 1  # t_k = term / scale, partial sum = total / scale
     for k in range(stop):
-        numerator = Fraction(1)
-        for a in ups:
-            numerator *= a + k
-        denominator = Fraction(k + 1)
-        for b in los:
-            factor = b + k
-            if factor == 0:
-                raise ZeroDivisionError(
-                    f"lower parameter {b} reaches zero at term {k + 1} "
-                    f"before the series terminates at {stop}"
-                )
-            denominator *= factor
-        term = term * numerator / denominator
-        total += term
-    return total
+        numerator = lo_scale * prod(p + k * q for p, q in up_pairs)
+        denominator = (k + 1) * up_scale * prod(p + k * q for p, q in lo_pairs)
+        term *= numerator
+        scale *= denominator
+        total = total * denominator + term
+    return Fraction(total, scale)

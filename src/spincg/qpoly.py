@@ -13,12 +13,12 @@ _gaussian_coefficients: a product of q-ratios (1 - q^u) / (1 - q^v)
 truncated at the highest coefficient asked for.  It packs the product into
 one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
-_q_ratio_product on a list.  The Omega product prod [2j+1]_q uses
-_q_ratio_product when the spins are spread over many species; otherwise
-decompose builds it by the recurrence its logarithmic derivative gives,
-sigma + 1 products per coefficient for sigma species.  The other routes
-(IntPolynomial products, factorial division, nested sums) are
-cross-checks.
+_q_ratio_product on a list; q_binomial mirrors its palindromic lower half.
+The Omega product prod [2j+1]_q uses _q_ratio_product unless its N spins
+take few distinct values, N > 2 (sigma + 1); then decompose builds it by
+the recurrence its logarithmic derivative gives, sigma + 1 products per
+coefficient.  The other routes (IntPolynomial products, factorial
+division, nested sums) are cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """
@@ -285,14 +285,16 @@ def q_binomial(a: int, b: int) -> IntPolynomial:
     """Gaussian binomial [a choose b]_q as a product of q-ratios.
 
     Degree is b(a-b); the coefficient of q^k counts partitions of k into at
-    most b parts each at most a-b.  Returns the zero polynomial for b < 0
-    or b > a.
+    most b parts each at most a-b; they are palindromic, so the upper half
+    mirrors the lower.  Returns the zero polynomial for b < 0 or b > a.
     """
     if a < 0:
         raise DomainError("q_binomial needs a >= 0")
     if b < 0 or b > a:
         return IntPolynomial.zero()
-    return IntPolynomial(tuple(_gaussian_coefficients(a, b, b * (a - b))))
+    degree = b * (a - b)
+    head = _gaussian_coefficients(a, b, degree // 2)
+    return IntPolynomial(tuple(head + head[: (degree + 1) // 2][::-1]))
 
 
 def q_binomial_by_division(a: int, b: int) -> IntPolynomial:

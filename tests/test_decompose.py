@@ -115,7 +115,8 @@ def test_omega_genfunc_matches_schoolbook_product():
         multisets.append(SpinMultiset.from_entries(entries))
     # one to eight species: once with one to three spins each (the kernel's
     # side of the route choice in omega_genfunc), once on each side of its
-    # rule 4 (sigma + 1) < N, and once with spin 1/2 grown by 2^(sigma+2)
+    # rule 2 (sigma + 1) < N with the other spins once each, once on each
+    # side of N = 4 (sigma + 1), and once with spin 1/2 grown by 2^(sigma+2)
     # spins (large N), spin 1/2 making up the count; 1/2^120 is one species
     # with N >= 100, and eight distinct spins once each close the list
     many = [parse_spins("1/2^120")]
@@ -123,6 +124,9 @@ def test_omega_genfunc_matches_schoolbook_product():
         twice = [1, *rng.sample(range(2, 13), sigma - 1)]
         few = {tj: rng.randint(1, 3) for tj in twice}
         multisets.append(SpinMultiset.from_entries(few))
+        for num in (2 * (sigma + 1), 2 * (sigma + 1) + 1):
+            once = dict.fromkeys(twice, 1)
+            multisets.append(SpinMultiset.from_entries({**once, 1: num - sigma + 1}))
         for num in (4 * (sigma + 1), 4 * (sigma + 1) + 1):
             grown = {**few, 1: few[1] + num - sum(few.values())}
             multisets.append(SpinMultiset.from_entries(grown))
@@ -178,7 +182,7 @@ def test_omega_recurrence_rejects_an_inexact_step():
 
 
 def test_single_omega_matches_the_binomial_sum_on_both_routes():
-    # _omega_at takes the recurrence when 8 m (sigma + 1) < choices (N - 1)
+    # _omega_at takes the recurrence when 6 m (sigma + 1) < choices (N - 1)
     # and omega_binomial otherwise; both sides must give the binomial sum's
     # value, out-of-range n included
     rng = random.Random(20261018)
@@ -193,7 +197,7 @@ def test_single_omega_matches_the_binomial_sum_on_both_routes():
             steps = min(n, span - n)
             choices = math.prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
             if 0 <= n <= span:
-                routes[8 * steps * (sigma + 1) < choices * (spins.num_spins - 1)] += 1
+                routes[6 * steps * (sigma + 1) < choices * (spins.num_spins - 1)] += 1
             assert _omega_at(spins, n) == omega_binomial(spins, n), (spins, n)
     assert min(routes.values()) >= 40, routes
 

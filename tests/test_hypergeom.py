@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,49 @@ def test_equal_parameter_pair_is_inert():
 def test_lower_parameter_zero_is_reported():
     with pytest.raises(ZeroDivisionError):
         eval_terminating_pfq([-3], [-1])
+
+
+def _pfq_by_terms(uppers, lowers):
+    # term-by-term Fraction reference: ("value", sum), or ("pole", term) for
+    # the first term whose ratio divides by a zero lower factor
+    total = term = Fraction(1)
+    for k in range(termination_index(uppers)):
+        for a in uppers:
+            term *= a + k
+        for b in lowers:
+            if b + k == 0:
+                return "pole", k + 1
+            term /= b + k
+        term /= k + 1
+        total += term
+    return "value", total
+
+
+def test_pfq_matches_term_by_term_fractions():
+    # the integer common-denominator sum against plain Fractions, on seeded
+    # rational parameters; a lower parameter that reaches zero before the
+    # series ends raises ZeroDivisionError naming the same term
+    rng = random.Random(20261018)
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 5, 7, 12]))
+
+    seen = {"value": 0, "pole": 0}
+    for trial in range(600):
+        size = 12 if trial % 50 == 0 else rng.randint(0, 5)
+        uppers = [rational() for _ in range(size)]
+        uppers.insert(rng.randint(0, size), -rng.randint(0, 60 if size == 12 else 25))
+        lowers = [rational() for _ in range(size)]
+        if rng.random() < 0.3:
+            lowers.insert(rng.randint(0, size), -rng.randint(0, 25))
+        kind, want = _pfq_by_terms(uppers, lowers)
+        seen[kind] += 1
+        if kind == "value":
+            assert eval_terminating_pfq(uppers, lowers) == want, (uppers, lowers)
+        else:
+            with pytest.raises(ZeroDivisionError, match=f"reaches zero at term {want} before"):
+                eval_terminating_pfq(uppers, lowers)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_fully_cancelled_form_would_be_wrong():

@@ -116,10 +116,15 @@ def test_q_binomial_routes_agree():
             assert q_binomial_by_division(a, b) == reference
             assert q_binomial_convolution(a, b) == reference
             assert subset_sum_gaussian(a, b) == reference
-    # past a = 10, a few b per a against the factorial-division route
+    # past a = 10, a few b per a against the factorial-division route; the
+    # ends b = 0, 1, a - 1, a and two inner b give degrees b (a - b) of both
+    # parities, since q_binomial mirrors the lower half of the coefficients
+    parities = set()
     for a in range(11, 31):
         for b in {0, 1, a // 3, a // 2, a - 1, a}:
+            parities.add(b * (a - b) % 2)
             assert q_binomial(a, b) == q_binomial_by_division(a, b), (a, b)
+    assert parities == {0, 1}
 
 
 def test_q_binomial_convolution_edges():
