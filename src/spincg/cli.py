@@ -180,24 +180,18 @@ def _cmd_dice(args: argparse.Namespace) -> int:
     if args.digits is not None and args.digits < 1:
         raise DomainError("--digits must be >= 1")
     prob = dice_probability(args.dice, args.sum)
-    text = str(prob) if prob.denominator != 1 else f"{prob.numerator}"
+    text = str(prob)
     if args.digits is not None:
         text += f" ≈ {_fraction_decimal(prob, args.digits)}"
     print(text)
     return 0
 
 
-def _cmd_catalan(args: argparse.Namespace) -> int:
+def _cmd_sequence(args: argparse.Namespace) -> int:
+    # catalan and riordan: the first --count terms of args.term
     if args.count < 0:
         raise DomainError("--count must be >= 0")
-    print(" ".join(str(catalan(v)) for v in range(args.count)))
-    return 0
-
-
-def _cmd_riordan(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        raise DomainError("--count must be >= 0")
-    print(" ".join(str(riordan(v)) for v in range(args.count)))
+    print(" ".join(str(args.term(v)) for v in range(args.count)))
     return 0
 
 
@@ -322,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalan", help="first K Catalan numbers, via decompositions")
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_catalan)
+    p.set_defaults(handler=_cmd_sequence, term=catalan)
 
     p = sub.add_parser("riordan", help="first K Riordan numbers, via decompositions")
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_riordan)
+    p.set_defaults(handler=_cmd_sequence, term=riordan)
 
     p = sub.add_parser("isotropic", help="isotropic isomers of a multi-level unit")
     p.add_argument("--dim", type=int, required=True, help="levels per unit")

@@ -8,17 +8,17 @@ where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
 * generating function: Omega_n is the q^n coefficient of
   prod_i [2j_i + 1]_q, by q-ratios or, when 2 (sigma + 1) < N for sigma
   distinct spins, by the recurrence its logarithmic derivative gives,
-* generalized binomial: an alternating sum of binomial products per n,
-* multi-restricted composition: a sum over partitions of n placed into the
+* generalized binomial: an alternating sum of binomial products,
+* multi-restricted composition: a sum over partitions placed into the
   spin "channels", counting the ways each part fits.
 
 Multiplicities follow by first differences, lambda_kappa = Omega_kappa -
 Omega_{kappa-1} with J_kappa = J_0 - kappa, and also come straight from a
 binomial formula or from the polynomial (1 - q) * G_Omega.  Every Omega
 table goes through one difference scan, every binomial form through one
-alternating sum, and decompose audits each result once.  All three method
-choices produce identical DecompositionTables; the tests and the
-brute-force oracles hold them to that.
+species walk, and decompose audits each result once.  Binomial and
+composition tables each take one walk and cross-check the generating
+function; the tests and the brute-force oracles hold all three to that.
 
 Single-spin-value collections {j^N} additionally admit univariate formulas,
 their spin-infinity (zero-range) limits, and terminating hypergeometric
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, starmap
 from math import prod
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
@@ -239,23 +239,40 @@ def _omega_at(spins: SpinMultiset, n: int) -> int:
     return omega_binomial(spins, n)
 
 
-def _alternating_sum(entries: tuple[tuple[int, int], ...], top: int, n: int) -> int:
-    """sum_{w <= n} c_w C(top + n - w, top), c_w from prod_a (1 - q^(2j_a+1))^(N_a).
-
-    c_w is built species by species with equal weights merged, not per
-    choice (s_a).  top is N - 1 for Omega_n and N - 2 for lambda_kappa.
-    """
+def _species_coefficients(entries: tuple[tuple[int, int], ...], last: int) -> dict[int, int]:
+    """Nonzero c_w, w <= last, of prod_a (1 - q^(2j_a+1))^(N_a), merged per species."""
     coeffs = {0: 1}
     for twice_j, mult in entries:
         step = twice_j + 1
-        row = [(-1) ** s * binom(mult, s) for s in range(min(mult, n // step) + 1)]
+        row = [(-1) ** s * binom(mult, s) for s in range(min(mult, last // step) + 1)]
         grown: dict[int, int] = {}
         for weight, coeff in coeffs.items():
-            for s in range(min(len(row) - 1, (n - weight) // step) + 1):
+            for s in range(min(len(row) - 1, (last - weight) // step) + 1):
                 w = weight + step * s
                 grown[w] = grown.get(w, 0) + coeff * row[s]
         coeffs = grown
-    return sum(coeff * binom(top + n - w, top) for w, coeff in coeffs.items())
+    return coeffs
+
+
+def _alternating_sum(entries: tuple[tuple[int, int], ...], top: int, n: int) -> int:
+    """sum_{w <= n} c_w C(top + n - w, top); top is N - 1 for Omega_n, N - 2 for lambda."""
+    return sum(coeff * binom(top + n - w, top)
+               for w, coeff in _species_coefficients(entries, n).items())
+
+
+def _alternating_table(entries: tuple[tuple[int, int], ...], top: int, last: int) -> list[int]:
+    """_alternating_sum for every n = 0 .. last, from one species walk.
+
+    The kernel row B[k] = C(top + k, top) is built once, and each c_w adds
+    c_w * B to the entries from w on.
+    """
+    row = [1]
+    for k in range(1, last + 1):
+        row.append(row[-1] * (top + k) // k)
+    values = [0] * (last + 1)
+    for w, coeff in _species_coefficients(entries, last).items():
+        values[w:] = map(add, values[w:], map(coeff.__mul__, row))
+    return values
 
 
 def omega_binomial(spins: SpinMultiset, n: int) -> int:
@@ -271,65 +288,56 @@ def omega_binomial(spins: SpinMultiset, n: int) -> int:
 
 
 def omega_composition(spins: SpinMultiset, n: int) -> int:
-    """Single Omega_n by counting multi-restricted compositions.
-
-    Each partition of n into at most N parts is placed into the spin
-    channels: a part of value a fits a channel with 2j >= a.  With parts
-    grouped by value in descending order, channels admitting the current
-    value and not already taken contribute a plain binomial choice, so each
-    partition adds prod_nu C(omega(a_nu) - taken, s_nu).  Infeasible
-    placements die through a zero factor.
-    """
+    """Single Omega_n by _composition_counts; out-of-range n returns 0."""
     if n < 0 or n > spins.twice_j0:
         return 0
+    return _composition_counts(spins, n)[n]
+
+
+def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
+    """Omega_0 .. Omega_top by counting multi-restricted compositions.
+
+    A partition is placed into the spin channels: a part of value a fits a
+    channel with 2j >= a.  With parts grouped by value in descending order,
+    each group of s parts of value a picks s of the channels admitting a and
+    not yet taken, so the partition adds prod C(admitting(a) - taken, s) to
+    the count of its total.  One depth-first walk visits each partition of
+    total <= top once, carrying that product down the path.
+    """
     caps = spins.twice_spins  # ascending
-    num = len(caps)
-    max_part = caps[-1]
+    admitting = [len(caps) - bisect_left(caps, v) for v in range(caps[-1] + 1)]
+    counts = [1] + [0] * top
 
-    def placements(groups: list[tuple[int, int]]) -> int:
-        taken = 0
-        product = 1
-        for value, count in groups:
-            admitting = num - bisect_left(caps, value)
-            product *= binom(admitting - taken, count)
-            if product == 0:
-                return 0
-            taken += count
-        return product
+    def visit(total: int, cap: int, taken: int, product: int) -> None:
+        room = top - total
+        for value in range(min(cap, room), 0, -1):
+            free = admitting[value] - taken
+            for count in range(1, min(free, room // value) + 1):
+                weight = product * binom(free, count)
+                reached = total + count * value
+                counts[reached] += weight
+                if value > 1 and reached < top:
+                    visit(reached, value - 1, taken + count, weight)
 
-    total = 0
-
-    def walk(remaining: int, cap: int, slots: int, groups: list[tuple[int, int]]) -> None:
-        nonlocal total
-        if remaining == 0:
-            total += placements(groups)
-            return
-        if slots == 0 or cap == 0 or cap * slots < remaining:
-            return
-        for value in range(min(cap, remaining), 0, -1):
-            if value * slots < remaining:
-                break
-            for count in range(1, min(slots, remaining // value) + 1):
-                groups.append((value, count))
-                walk(remaining - count * value, value - 1, slots - count, groups)
-                groups.pop()
-
-    walk(n, max_part, num, [])
-    return total
+    visit(0, caps[-1], 0, 1)
+    return counts
 
 
 def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
-    """Full Omega table by any of the three methods."""
+    """Full Omega table by any of the three methods.
+
+    Binomial and composition fill all of 0 .. 2J_0, checking genfunc's mirror.
+    """
     if method == "genfunc":
         return omega_genfunc(spins)
+    span = spins.twice_j0
     if method == "binomial":
-        per_n = omega_binomial
+        values = _alternating_table(spins.entries, spins.num_spins - 1, span)
     elif method == "composition":
-        per_n = omega_composition
+        values = _composition_counts(spins, span)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    span = spins.twice_j0
-    return OmegaTable(tuple(per_n(spins, n) for n in range(span + 1)), span)
+    return OmegaTable(tuple(values), span)
 
 
 def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
@@ -411,19 +419,20 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
     """Full Clebsch-Gordan decomposition of a spin multiset.
 
     method selects how the multiplicities are computed: "genfunc" (default)
-    and "composition" build the Omega table and difference it, "binomial"
-    evaluates each lambda_kappa directly (falling back to the
-    omega-difference route for a single spin, where the direct kernel is
+    differences omega_genfunc's table, "composition" differences Omega_0 ..
+    Omega_floor(J_0) from one partition walk, and "binomial" takes every
+    lambda_kappa from one species walk and one binomial row (falling back to
+    the Omega-difference route for a single spin, where the direct kernel is
     undefined).  The three methods agree entry for entry, and every result
     passes one audit: its total dimension and minimum spin must equal the
     multiset's.
     """
+    twice_j0 = spins.twice_j0
     if method == "binomial" and spins.num_spins >= 2:
-        twice_j0 = spins.twice_j0
-        table = DecompositionTable(tuple(
-            (twice_j0 - 2 * kappa, lambda_binomial(spins, kappa))
-            for kappa in range(_multiplicity_steps(spins) + 1)
-        ))
+        lams = _alternating_table(spins.entries, spins.num_spins - 2, _multiplicity_steps(spins))
+        table = DecompositionTable(tuple(zip(range(twice_j0, -1, -2), lams)))
+    elif method == "composition":
+        table = difference_decomposition(_composition_counts(spins, twice_j0 // 2), twice_j0)
     else:
         omega = omega_table(spins, method)
         table = difference_decomposition(omega.values, omega.twice_j0)
@@ -459,10 +468,7 @@ def lambda_univariate(twice_j: int, num: int, kappa: int) -> int:
             "lambda_univariate needs at least two spins; "
             "a single spin has multiplicity table {J = j: 1}"
         )
-    spins = SpinMultiset.from_entries({twice_j: num})
-    if kappa < 0 or kappa > _multiplicity_steps(spins):
-        raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
-    return _alternating_sum(spins.entries, num - 2, kappa)
+    return lambda_binomial(SpinMultiset.from_entries({twice_j: num}), kappa)
 
 
 def omega_zero_range(num: int, n: int) -> int:

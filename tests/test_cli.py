@@ -306,6 +306,23 @@ def test_exit_codes(capsys):
     assert code == 2  # --spins conflicts with a non-full composition
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["omega", "--spins", "1/2^2,1^4", "--format", "json"], (0, (
+        '{"spins": "1/2^2,1^4", "twice_J0": 10, "omega": '
+        '["1", "6", "19", "40", "61", "70", "61", "40", "19", "6", "1"]}\n'), "")),
+    (["sym", "--j", "1", "--num", "0"], (3, "", "error: --num must be >= 1\n")),
+    (["qbinom", "--a", "-1", "--b", "0"], (3, "", "error: --a must be >= 0\n")),
+    (["partitions", "--max-part", "-1", "--max-parts", "2", "--k", "3"],
+     (3, "", "error: --max-part and --max-parts must be >= 0\n")),
+    (["partitions", "--max-part", "2", "--max-parts", "-1", "--k", "3"],
+     (3, "", "error: --max-part and --max-parts must be >= 0\n")),
+    (["catalan", "--count", "-1"], (3, "", "error: --count must be >= 0\n")),
+    (["riordan", "--count", "-1"], (3, "", "error: --count must be >= 0\n")),
+])
+def test_branches_render_byte_for_byte(capsys, argv, expected):
+    assert run(capsys, *argv) == expected
+
+
 def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "cgd")[0] == 2  # missing --spins
     assert run(capsys, "nonsense")[0] == 2

@@ -205,21 +205,29 @@ def test_single_omega_matches_the_binomial_sum_on_both_routes():
 def test_decompose_checks_survive_optimized_mode():
     # python -O strips asserts (the script's first assert proves it); the
     # post-conditions of decompose must still reject a wrong multiplicity
-    # table there, on the binomial route and on the Omega-difference route
+    # table there, on each route: the faults go into the module globals
+    # decompose calls for the binomial table, the genfunc Omega table and
+    # the composition counts
     script = (
         "import importlib, sys\n"
         "assert False, 'asserts are on'\n"
         "d = importlib.import_module('spincg.decompose')\n"
         "spins = d.SpinMultiset.from_entries({2: 3})\n"
-        "exact_lambda, exact_omega = d.lambda_binomial, d.omega_genfunc\n"
+        "exact_table, exact_omega = d._alternating_table, d.omega_genfunc\n"
+        "exact_counts = d._composition_counts\n"
         "def raised_omega(spins):\n"
         "    values = list(exact_omega(spins).values)\n"
         "    values[1] += 1\n"
         "    values[-2] += 1\n"
         "    return d.OmegaTable(tuple(values), spins.twice_j0)\n"
-        "d.lambda_binomial = lambda spins, kappa: exact_lambda(spins, kappa) + 1\n"
+        "def raised_counts(spins, top):\n"
+        "    values = exact_counts(spins, top)\n"
+        "    values[1] += 1\n"
+        "    return values\n"
+        "d._alternating_table = lambda *args: [v + 1 for v in exact_table(*args)]\n"
         "d.omega_genfunc = raised_omega\n"
-        "for method in ('binomial', 'genfunc'):\n"
+        "d._composition_counts = raised_counts\n"
+        "for method in ('binomial', 'genfunc', 'composition'):\n"
         "    try:\n"
         "        d.decompose(spins, method)\n"
         "    except ValueError as exc:\n"
@@ -236,6 +244,7 @@ def test_decompose_checks_survive_optimized_mode():
     assert result.stdout.splitlines() == [
         "binomial inconsistent decomposition of 1^3",
         "genfunc inconsistent decomposition of 1^3",
+        "composition inconsistent decomposition of 1^3",
     ]
 
 
@@ -247,6 +256,35 @@ def test_omega_table_methods_agree():
         omega_table(WORKED, "magic")
     with pytest.raises(ValueError):
         decompose(WORKED, "magic")
+
+
+@pytest.mark.parametrize("text", ["6^5,7/2^3,3^5", "4^4,6^6"])
+def test_composition_route_walks_each_partition_once(text):
+    # 13 and 10 spins: one walk over the bounded partitions serves the whole
+    # table, which keeps these two well under a second
+    spins = parse_spins(text)
+    assert decompose(spins, "composition") == decompose(spins, "genfunc")
+
+
+def test_cross_check_tables_match_genfunc_in_full():
+    # binomial and composition fill 0 .. 2J_0 without the palindrome, so the
+    # upper half checks omega_genfunc's mirror; single values and the
+    # binomial multiplicities must equal the table entries
+    rng = random.Random(20261019)
+    for _ in range(60):
+        spins = random_multiset(rng, max_total=8, max_twice=7)
+        reference = omega_genfunc(spins)
+        span = spins.twice_j0
+        assert omega_table(spins, "binomial") == reference, spins
+        assert omega_table(spins, "composition") == reference, spins
+        for n in {0, rng.randint(0, span), rng.randint(0, span), span}:
+            assert omega_composition(spins, n) == reference.values[n], (spins, n)
+            assert omega_binomial(spins, n) == reference.values[n], (spins, n)
+        table = decompose(spins, "binomial")
+        assert table == lambda_from_omega(reference), spins
+        if spins.num_spins >= 2:
+            assert [lambda_binomial(spins, k) for k in range(len(table.entries))] == \
+                [mult for _, mult in table.entries], spins
 
 
 def test_worked_example_lambda_routes():
