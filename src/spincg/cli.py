@@ -1,10 +1,13 @@
 """Command line interface.
 
-One verb per capability; every number printed is exact.  Exit codes:
+One verb per capability; every number printed is exact.  Each handler
+returns the full text of its answer and main writes it once.  Exit codes:
 0 success, 2 parse/usage error, 3 domain error, 4 enumeration budget
-exceeded.  JSON output is canonical: fixed key order, big integers as
-decimal strings, rendered by json.dumps with default separators, so a
-parse-and-reserialize round trip is byte identical.
+exceeded.  argparse exits 2 on usage errors; every other nonzero code is
+the exit_code of the spincg.errors class raised.  JSON output is
+canonical: fixed key order, big integers as decimal strings, rendered by
+json.dumps with default separators, so a parse-and-reserialize round trip
+is byte identical.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -36,6 +40,7 @@ from .decompose import (
 from .errors import BudgetExceededError, DomainError, SpinParseError
 from .identical import IdenticalSystem, antisym_decomposition, sym_decomposition
 from .oracles import (
+    DEFAULT_MAX_STATES,
     EnumerationBudget,
     oracle_antisym,
     oracle_omega,
@@ -47,33 +52,26 @@ from .spins import parse_spins, parse_spin_token, spin_label
 __all__ = ["main", "build_parser"]
 
 
-def _print_decomposition(
-    table: DecompositionTable,
-    spins: str,
-    fmt: str,
-    composition: str | None = None,
-) -> None:
+def _decomposition_text(
+    table: DecompositionTable, spins: str, fmt: str, composition: str | None = None
+) -> str:
     if fmt == "json":
-        print(json.dumps(table.to_json_dict(spins, composition)))
-        return
-    print(f"spins: {spins}")
+        return json.dumps(table.to_json_dict(spins, composition))
+    lines = [f"spins: {spins}"]
     if composition is not None:
-        print(f"composition: {composition}")
+        lines.append(f"composition: {composition}")
     if not table:
-        print("no states (exclusion)")
-        return
-    print(f"total dimension: {table.total_dimension}")
-    for twice_j, mult in table.entries:
-        print(f"J = {spin_label(twice_j)}: {mult}")
-
-
-def _print_polynomial(poly: IntPolynomial, fmt: str, head: dict) -> None:
-    if fmt == "json":
-        doc = dict(head)
-        doc["coefficients"] = poly.coefficient_strings()
-        print(json.dumps(doc))
+        lines.append("no states (exclusion)")
     else:
-        print(str(poly))
+        lines.append(f"total dimension: {table.total_dimension}")
+        lines.extend(f"J = {spin_label(tj)}: {mult}" for tj, mult in table.entries)
+    return "\n".join(lines)
+
+
+def _polynomial_text(poly: IntPolynomial, fmt: str, head: dict) -> str:
+    if fmt == "json":
+        return json.dumps({**head, "coefficients": poly.coefficient_strings()})
+    return str(poly)
 
 
 def _identical_system(args: argparse.Namespace) -> IdenticalSystem:
@@ -83,85 +81,60 @@ def _identical_system(args: argparse.Namespace) -> IdenticalSystem:
     return IdenticalSystem(twice_j, args.num)
 
 
-def _cmd_cgd(args: argparse.Namespace) -> int:
+def _cmd_cgd(args: argparse.Namespace) -> str:
     spins = parse_spins(args.spins)
     table = decompose(spins, args.method)
-    _print_decomposition(table, spins.canonical(), args.format)
-    return 0
+    return _decomposition_text(table, spins.canonical(), args.format)
 
 
-def _cmd_omega(args: argparse.Namespace) -> int:
+def _cmd_omega(args: argparse.Namespace) -> str:
     spins = parse_spins(args.spins)
+    doc = {"spins": spins.canonical()}
     if args.n is not None:
-        value = _omega_at(spins, args.n)
-        if args.format == "json":
-            print(json.dumps(
-                {"spins": spins.canonical(), "n": args.n, "omega": str(value)}
-            ))
-        else:
-            print(value)
-        return 0
-    table = omega_genfunc(spins)
-    if args.format == "json":
-        print(json.dumps({
-            "spins": spins.canonical(),
-            "twice_J0": table.twice_j0,
-            "omega": [str(v) for v in table.values],
-        }))
+        text = str(_omega_at(spins, args.n))
+        doc.update(n=args.n, omega=text)
     else:
-        print(f"spins: {spins.canonical()}")
-        print("omega:", " ".join(str(v) for v in table.values))
-    return 0
+        table = omega_genfunc(spins)
+        doc.update(twice_J0=table.twice_j0, omega=[str(v) for v in table.values])
+        text = f"spins: {doc['spins']}\nomega: {' '.join(doc['omega'])}"
+    return json.dumps(doc) if args.format == "json" else text
 
 
-def _cmd_genfunc(args: argparse.Namespace) -> int:
+def _cmd_genfunc(args: argparse.Namespace) -> str:
     spins = parse_spins(args.spins)
     if args.lambda_:
-        poly = lambda_genfunc(spins)
-        kind = "lambda"
+        poly, kind = lambda_genfunc(spins), "lambda"
     else:
-        poly = omega_genfunc(spins).to_polynomial()
-        kind = "omega"
-    _print_polynomial(
-        poly, args.format, {"spins": spins.canonical(), "series": kind}
-    )
-    return 0
+        poly, kind = omega_genfunc(spins).to_polynomial(), "omega"
+    head = {"spins": spins.canonical(), "series": kind}
+    return _polynomial_text(poly, args.format, head)
 
 
-def _cmd_sym(args: argparse.Namespace) -> int:
+def _cmd_identical(args: argparse.Namespace) -> str:
+    # sym and antisym, told apart by args.composition
     system = _identical_system(args)
-    table = sym_decomposition(system)
-    _print_decomposition(table, system.canonical(), args.format, "symmetric")
-    return 0
+    symmetric = args.composition == "symmetric"
+    table = (sym_decomposition if symmetric else antisym_decomposition)(system)
+    return _decomposition_text(table, system.canonical(), args.format, args.composition)
 
 
-def _cmd_antisym(args: argparse.Namespace) -> int:
-    system = _identical_system(args)
-    table = antisym_decomposition(system)
-    _print_decomposition(table, system.canonical(), args.format, "antisymmetric")
-    return 0
-
-
-def _cmd_qbinom(args: argparse.Namespace) -> int:
+def _cmd_qbinom(args: argparse.Namespace) -> str:
     if args.a < 0:
         raise DomainError("--a must be >= 0")
-    _print_polynomial(
+    return _polynomial_text(
         q_binomial(args.a, args.b), args.format, {"a": args.a, "b": args.b}
     )
-    return 0
 
 
-def _cmd_partitions(args: argparse.Namespace) -> int:
+def _cmd_partitions(args: argparse.Namespace) -> str:
     if args.max_part < 0 or args.max_parts < 0:
         raise DomainError("--max-part and --max-parts must be >= 0")
-    print(restricted_partitions(args.max_part, args.max_parts, args.k))
-    return 0
+    return str(restricted_partitions(args.max_part, args.max_parts, args.k))
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: argparse.Namespace) -> str:
     spec = parse_composition_spec(args.parts, args.allow_zero)
-    print(count_compositions(spec, args.n))
-    return 0
+    return str(count_compositions(spec, args.n))
 
 
 def _fraction_decimal(value: Fraction, digits: int) -> str:
@@ -174,36 +147,32 @@ def _fraction_decimal(value: Fraction, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-def _cmd_dice(args: argparse.Namespace) -> int:
+def _cmd_dice(args: argparse.Namespace) -> str:
     if args.dice < 1:
         raise DomainError("--dice must be >= 1")
     if args.digits is not None and args.digits < 1:
         raise DomainError("--digits must be >= 1")
     prob = dice_probability(args.dice, args.sum)
-    text = str(prob)
-    if args.digits is not None:
-        text += f" ≈ {_fraction_decimal(prob, args.digits)}"
-    print(text)
-    return 0
+    if args.digits is None:
+        return str(prob)
+    return f"{prob} ≈ {_fraction_decimal(prob, args.digits)}"
 
 
-def _cmd_sequence(args: argparse.Namespace) -> int:
+def _cmd_sequence(args: argparse.Namespace) -> str:
     # catalan and riordan: the first --count terms of args.term
     if args.count < 0:
         raise DomainError("--count must be >= 0")
-    print(" ".join(str(args.term(v)) for v in range(args.count)))
-    return 0
+    return " ".join(str(args.term(v)) for v in range(args.count))
 
 
-def _cmd_isotropic(args: argparse.Namespace) -> int:
-    print(isotropic_isomers(args.dim, args.rank))
-    return 0
+def _cmd_isotropic(args: argparse.Namespace) -> str:
+    return str(isotropic_isomers(args.dim, args.rank))
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.budget is not None and args.budget < 1:
+def _cmd_oracle(args: argparse.Namespace) -> str:
+    if args.budget < 1:
         raise DomainError("--budget must be >= 1")
-    budget = EnumerationBudget(args.budget) if args.budget else EnumerationBudget()
+    budget = EnumerationBudget(args.budget)
     if args.spins is not None:
         if args.composition not in (None, "full"):
             raise SpinParseError("--spins fixes the composition to full")
@@ -224,8 +193,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         oracle = oracle_sym if composition == "symmetric" else oracle_antisym
         omega = oracle(system.twice_j, system.count, budget)
         table = difference_decomposition(omega.values, spins.twice_j0)
-    _print_decomposition(table, spins.canonical(), args.format, composition)
-    return 0
+    return _decomposition_text(table, spins.canonical(), args.format, composition)
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -270,15 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=_cmd_genfunc)
 
-    p = sub.add_parser("sym", help="symmetric composition of identical spins")
-    _add_identical(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_sym)
-
-    p = sub.add_parser("antisym", help="antisymmetric composition of identical spins")
-    _add_identical(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_antisym)
+    for verb, composition in (("sym", "symmetric"), ("antisym", "antisymmetric")):
+        p = sub.add_parser(verb, help=f"{composition} composition of identical spins")
+        _add_identical(p)
+        _add_format(p)
+        p.set_defaults(handler=_cmd_identical, composition=composition)
 
     p = sub.add_parser("qbinom", help="Gaussian binomial coefficient [a choose b]_q")
     p.add_argument("--a", type=int, required=True)
@@ -314,13 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_dice)
 
-    p = sub.add_parser("catalan", help="first K Catalan numbers, via decompositions")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_sequence, term=catalan)
-
-    p = sub.add_parser("riordan", help="first K Riordan numbers, via decompositions")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_sequence, term=riordan)
+    for verb, term in (("catalan", catalan), ("riordan", riordan)):
+        p = sub.add_parser(
+            verb, help=f"first K {verb.capitalize()} numbers, via decompositions"
+        )
+        p.add_argument("--count", type=int, required=True)
+        p.set_defaults(handler=_cmd_sequence, term=term)
 
     p = sub.add_parser("isotropic", help="isotropic isomers of a multi-level unit")
     p.add_argument("--dim", type=int, required=True, help="levels per unit")
@@ -335,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--composition", choices=("full", "symmetric", "antisymmetric"), default=None
     )
-    p.add_argument("--budget", type=int, default=None, help="max states to enumerate")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_MAX_STATES, help="max states to enumerate"
+    )
     _add_format(p)
     p.set_defaults(handler=_cmd_oracle)
 
@@ -365,24 +330,23 @@ def main(argv: list[str] | None = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        try:
-            args = _parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        try:
-            return args.handler(args)
-        except SpinParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        args = _parser().parse_args(argv)
+        print(args.handler(args), flush=True)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except (SpinParseError, DomainError, BudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except BrokenPipeError:
+        # The reader left.  Point stdout at devnull so the flush at exit does
+        # not raise again (Python docs, signal module, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         if cap is not None:
             sys.set_int_max_str_digits(cap)
+    return 0
 
 
 if __name__ == "__main__":

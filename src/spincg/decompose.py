@@ -280,7 +280,8 @@ def omega_binomial(spins: SpinMultiset, n: int) -> int:
 
     Sums (-1)^(s_1+...+s_sigma) C(N + n - 1 - w, N - 1) prod C(N_a, s_a)
     over choices 0 <= s_a <= N_a, where w = sum (2j_a + 1) s_a <= n.
-    Out-of-range n returns 0.
+    Out-of-range n returns 0.  A cross-check of genfunc whose table form
+    cgd --method binomial runs, and _omega_at's route when this sum is short.
     """
     if n < 0 or n > spins.twice_j0:
         return 0
@@ -288,7 +289,10 @@ def omega_binomial(spins: SpinMultiset, n: int) -> int:
 
 
 def omega_composition(spins: SpinMultiset, n: int) -> int:
-    """Single Omega_n by _composition_counts; out-of-range n returns 0."""
+    """Single Omega_n by _composition_counts; out-of-range n returns 0.
+
+    A cross-check of genfunc; cgd --method composition runs the same walk.
+    """
     if n < 0 or n > spins.twice_j0:
         return 0
     return _composition_counts(spins, n)[n]
@@ -326,7 +330,8 @@ def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
 def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
     """Full Omega table by any of the three methods.
 
-    Binomial and composition fill all of 0 .. 2J_0, checking genfunc's mirror.
+    Binomial and composition, the cross-checks of genfunc that cgd --method
+    selects, fill all of 0 .. 2J_0 and so check genfunc's mirror as well.
     """
     if method == "genfunc":
         return omega_genfunc(spins)
@@ -402,7 +407,8 @@ def lambda_binomial(spins: SpinMultiset, kappa: int) -> int:
     which requires N >= 2; a single spin has no pairwise coupling and the
     kernel's lower index would go negative, so that raises DomainError (use
     lambda_from_omega instead).  kappa must lie in 0 .. m; values beyond
-    the minimum spin are not exposed.
+    the minimum spin are not exposed.  A cross-check of genfunc whose table
+    form cgd --method binomial runs.
     """
     num = spins.num_spins
     if num < 2:

@@ -318,9 +318,48 @@ def test_exit_codes(capsys):
      (3, "", "error: --max-part and --max-parts must be >= 0\n")),
     (["catalan", "--count", "-1"], (3, "", "error: --count must be >= 0\n")),
     (["riordan", "--count", "-1"], (3, "", "error: --count must be >= 0\n")),
+    # every verb's full stdout, final newline included
+    (["cgd", "--spins", "1/2^2,1^4"], (0, (
+        "spins: 1/2^2,1^4\ntotal dimension: 324\nJ = 5: 1\nJ = 4: 5\n"
+        "J = 3: 13\nJ = 2: 21\nJ = 1: 21\nJ = 0: 9\n"), "")),
+    (["omega", "--spins", "1/2^2,1^4"],
+     (0, "spins: 1/2^2,1^4\nomega: 1 6 19 40 61 70 61 40 19 6 1\n", "")),
+    (["genfunc", "--spins", "1/2^2"], (0, "1 + 2 q + q^2\n", "")),
+    (["qbinom", "--a", "4", "--b", "2"], (0, "1 + q + 2 q^2 + q^3 + q^4\n", "")),
+    (["partitions", "--max-part", "3", "--max-parts", "4", "--k", "5"], (0, "4\n", "")),
+    (["compose", "--parts", "2^5,4^3,5^4", "--n", "16"], (0, "982\n", "")),
+    (["dice", "--dice", "2", "--sum", "7", "--digits", "6"],
+     (0, "1/6 ≈ 0.166667\n", "")),
+    (["catalan", "--count", "7"], (0, "1 1 2 5 14 42 132\n", "")),
+    (["isotropic", "--dim", "3", "--rank", "10"], (0, "603\n", "")),
 ])
 def test_branches_render_byte_for_byte(capsys, argv, expected):
     assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_closed_stdout_pipe_ends_quietly(fmt):
+    # about 1.95 MB of output, far past a pipe buffer, so the write breaks
+    # once the reader has gone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    wrapper = "import sys; from spincg.cli import main; sys.exit(main())"
+    with subprocess.Popen(
+        [sys.executable, "-c", wrapper, "omega", "--spins", "1/2^3000", *fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        head = proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b'{"spins"' if fmt else b"spins: ")
+    assert (code, err) == (0, b"")
+
+
+def test_missing_stdout_ends_quietly(monkeypatch):
+    # with file descriptor 1 closed at start-up, sys.stdout is None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["cgd", "--spins", "1/2^2"]) == 0
 
 
 def test_usage_errors_from_argparse(capsys):
