@@ -4,10 +4,11 @@ One verb per capability; every number printed is exact.  Each handler
 returns the full text of its answer and main writes it once.  Exit codes:
 0 success, 2 parse/usage error, 3 domain error, 4 enumeration budget
 exceeded.  argparse exits 2 on usage errors; every other nonzero code is
-the exit_code of the spincg.errors class raised.  JSON output is
-canonical: fixed key order, big integers as decimal strings, rendered by
-json.dumps with default separators, so a parse-and-reserialize round trip
-is byte identical.
+the exit_code of the spincg.errors class raised.  A plain argv is read
+straight off the build_parser tree; help and usage errors come from
+argparse.  JSON output is canonical: fixed key order, big integers as
+decimal strings, rendered by json.dumps with default separators, so a
+parse-and-reserialize round trip is byte identical.
 """
 
 from __future__ import annotations
@@ -316,8 +317,57 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _plain_args(argv: list[str] | None) -> argparse.Namespace | None:
+    """parse_args(argv) for a plain argv, read off the tree; None otherwise.
+
+    Help, abbreviations, --opt=value, --, stray tokens, missing options and
+    bad values return None and are left to argparse and its messages.
+    """
+    # Private argparse attributes: _actions (build_parser adds the subparsers
+    # action last), _defaults (set_defaults values), _option_string_actions
+    # (exact option string -> action) and _negative_number_matcher (which "-"
+    # tokens are values).  The fuzz test in tests/test_cli.py guards them.
+    argv = sys.argv[1:] if argv is None else argv
+    verbs = _parser()._actions[-1]
+    sub = verbs.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    negative = sub._negative_number_matcher.match
+    args = argparse.Namespace(**{verbs.dest: argv[0], **sub._defaults})
+    for action in sub._actions:
+        if action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        if action is None or action.default is argparse.SUPPRESS:  # -h, --help
+            return None
+        if action.nargs == 0:
+            values = []
+        elif action.nargs is None:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not negative(value):
+                return None
+            try:
+                values = action.type(value) if action.type is not None else value
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and values not in action.choices:
+                return None
+        else:
+            return None
+        action(sub, args, values, token)
+        seen.add(action)
+    if any(action.required and action not in seen for action in sub._actions):
+        return None
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one spincg command line; return its exit code (0, 2, 3 or 4).
+
+    A plain argv is read off the build_parser tree; the rest goes to argparse.
 
     Not thread-safe: for the length of the call it lifts the interpreter's
     int/str digit cap, which is process-wide, so another thread converting
@@ -330,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _parser().parse_args(argv)
+        args = _plain_args(argv) or _parser().parse_args(argv)
         print(args.handler(args), flush=True)
     except SystemExit as exc:
         return int(exc.code or 0)

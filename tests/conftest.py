@@ -4,13 +4,33 @@ fold_pairwise is an independent oracle used across the suite: it computes
 the full multiplicity distribution by iterated two-spin coupling (the
 textbook |j1 - j2| .. j1 + j2 ladder), never touching the package's
 generating-function, binomial, or composition machinery.
+
+Hypothesis runs under one profile: derandomized, with no example
+database, so two runs draw the same examples.  Its home directory is a
+temporary one for the session, so no .hypothesis/ directory is left behind.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from spincg import DecompositionTable, SpinMultiset
+
+settings.register_profile("spincg", derandomize=True, database=None)
+settings.load_profile("spincg")
+
+
+def pytest_configure(config):
+    # Hypothesis's pytest plugin caches the constants it reads from local
+    # source files under its home directory at collection time, whatever
+    # the database setting.
+    home = tempfile.TemporaryDirectory()
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)
 
 
 def fold_pairwise(spins: SpinMultiset) -> dict[int, int]:

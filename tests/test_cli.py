@@ -306,6 +306,13 @@ def test_exit_codes(capsys):
     assert code == 2  # --spins conflicts with a non-full composition
 
 
+CGD_HALF_PAIR = "spins: 1/2^2\ntotal dimension: 4\nJ = 1: 1\nJ = 0: 1\n"
+CGD_USAGE = (
+    "usage: spincg cgd [-h] --spins SPINS [--method {genfunc,binomial,composition}]\n"
+    "                  [--format {text,json}]\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["omega", "--spins", "1/2^2,1^4", "--format", "json"], (0, (
         '{"spins": "1/2^2,1^4", "twice_J0": 10, "omega": '
@@ -332,8 +339,32 @@ def test_exit_codes(capsys):
      (0, "1/6 ≈ 0.166667\n", "")),
     (["catalan", "--count", "7"], (0, "1 1 2 5 14 42 132\n", "")),
     (["isotropic", "--dim", "3", "--rank", "10"], (0, "603\n", "")),
+    # abbreviations, --opt=value, options out of order, a repeat (the last
+    # one wins), a value that looks like an option, help and a bad value,
+    # each as argparse alone handled it
+    (["cgd", "--sp", "1/2^2"], (0, CGD_HALF_PAIR, "")),
+    (["cgd", "--spins=1/2^2"], (0, CGD_HALF_PAIR, "")),
+    (["sym", "--num", "3", "--j", "1"], (0, (
+        "spins: 1^3\ncomposition: symmetric\ntotal dimension: 10\n"
+        "J = 3: 1\nJ = 1: 1\n"), "")),
+    (["cgd", "--spins", "1", "--spins", "1/2"],
+     (0, "spins: 1/2\ntotal dimension: 2\nJ = 1/2: 1\n", "")),
+    (["cgd", "--spins", "-1/2"], (2, "", (
+        f"{CGD_USAGE}spincg cgd: error: argument --spins: expected one argument\n"))),
+    pytest.param(["cgd", "--spins", "1/2", "-h"], (0, (
+        f"{CGD_USAGE}\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        '  --spins SPINS         e.g. "1/2^2,1^4"\n'
+        "  --method {genfunc,binomial,composition}\n"
+        "  --format {text,json}  output rendering (default text)\n"), ""),
+        marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                 reason="argparse 3.10 titles the section differently")),
+    (["qbinom", "--a", "5", "--b", "two"], (2, "", (
+        "usage: spincg qbinom [-h] --a A --b B [--format {text,json}]\n"
+        "spincg qbinom: error: argument --b: invalid int value: 'two'\n"))),
 ])
-def test_branches_render_byte_for_byte(capsys, argv, expected):
+def test_branches_render_byte_for_byte(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
     assert run(capsys, *argv) == expected
 
 
@@ -423,6 +454,93 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
     for call in range(50):
         run(capsys, *REUSE_ARGVS[call % len(REUSE_ARGVS)])
     assert built_during == [0] * 14
+
+
+# One valid argv per verb, covering every option but help; the fuzz test
+# below mutates them.
+FUZZ_SEEDS = [
+    ["cgd", "--spins", "1/2^2,1", "--method", "binomial", "--format", "json"],
+    ["omega", "--spins", "1/2,1", "--n", "1", "--format", "text"],
+    ["genfunc", "--spins", "1/2^2", "--lambda", "--format", "json"],
+    ["sym", "--j", "1", "--num", "3", "--format", "json"],
+    ["antisym", "--j", "3/2", "--num", "2"],
+    ["qbinom", "--a", "5", "--b", "2", "--format", "text"],
+    ["partitions", "--max-part", "3", "--max-parts", "4", "--k", "5"],
+    ["compose", "--parts", "2^2", "--n", "2", "--allow-zero"],
+    ["dice", "--dice", "2", "--sum", "7", "--digits", "3"],
+    ["catalan", "--count", "5"],
+    ["riordan", "--count", "5"],
+    ["isotropic", "--dim", "3", "--rank", "4"],
+    ["oracle", "--spins", "1^2", "--j", "1", "--num", "2",
+     "--composition", "full", "--budget", "100", "--format", "json"],
+]
+FUZZ_TOKENS = [
+    "-3", "-.5", "-1e3", "-x", "\u0663", "\u00b2", "1_000", " 4", "", "-", "--",
+    "-h", "--help", "-3\n", "-1/2", "x y", "magic", "7", "json", "full",
+    "--spins", "--num", "--format", "--lambda", "--allow-zero", "cgd",
+]
+
+
+def _mutate(rng, argv):
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(argv))
+        option = argv[i].startswith("--")
+        kind = rng.randrange(7)
+        if kind == 0 and option:  # abbreviation
+            argv[i] = argv[i][:rng.randint(2, len(argv[i]))]
+        elif kind == 1 and option and i + 1 < len(argv):  # --opt=value
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif kind == 2:  # a token inserted anywhere
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(FUZZ_TOKENS))
+        elif kind == 3:  # a token replaced: bad values, bad choices
+            argv[i] = rng.choice(FUZZ_TOKENS)
+        elif kind == 4:  # an option or its value dropped
+            del argv[i:i + rng.randint(1, 2)]
+        elif kind == 5 and option:  # a repeat with another value
+            argv += [argv[i], rng.choice(FUZZ_TOKENS)]
+        elif kind == 6 and option and i + 1 < len(argv):  # a pair moved last
+            argv += [argv.pop(i), argv.pop(i)]
+        if not argv:
+            break
+    return argv
+
+
+def test_plain_reader_equals_argparse():
+    rng = random.Random(14)
+    read = declined = 0
+    for _ in range(4000):
+        argv = _mutate(rng, list(rng.choice(FUZZ_SEEDS)))
+        args = cli._plain_args(argv)
+        if args is None:
+            declined += 1
+        else:
+            read += 1
+            assert args == cli._parser().parse_args(argv), argv
+    assert read > 1000 and declined > 1000
+
+
+def test_plain_argv_never_reach_argparse(capsys, monkeypatch):
+    answered = [argv for argv in REUSE_ARGVS
+                if "--help" not in argv and run(capsys, *argv)[0] == 0]
+    assert {argv[0] for argv in answered} == set(cli._parser()._actions[-1].choices)
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+
+    def reaches_argparse(argv):
+        calls.clear()
+        run(capsys, *argv)
+        return bool(calls)
+
+    for argv in [*answered, ["sym", "--j", "1", "--num", "-3"]]:
+        assert not reaches_argparse(argv), argv
+    for argv in (["--help"], [], ["nonsense"], ["cgd", "--spins", "1", "extra"]):
+        assert reaches_argparse(argv), argv
 
 
 def test_cli_output_unchanged_under_optimized_mode():
