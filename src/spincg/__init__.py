@@ -6,6 +6,8 @@ symmetrically or antisymmetrically through Gaussian polynomials; and count
 Catalan numbers, Riordan numbers, isotropic isomers, bounded compositions,
 and dice-sum probabilities with the same machinery.  Integer and Fraction
 arithmetic throughout; brute-force oracles double-check every fast path.
+The paper's other routes, hypergeometric and univariate forms included,
+are cross-checks and live in spincg.crosscheck.
 """
 
 from .counting import (
@@ -17,6 +19,8 @@ from .counting import (
     parse_composition_spec,
     riordan,
 )
+# identical-scan in bench/jobs.py reads spincg.lambda_univariate_hypergeometric
+from .crosscheck import lambda_univariate_hypergeometric
 from .decompose import (
     DecompositionTable,
     METHODS,
@@ -26,19 +30,12 @@ from .decompose import (
     lambda_binomial,
     lambda_from_omega,
     lambda_genfunc,
-    lambda_univariate,
-    lambda_univariate_hypergeometric,
-    lambda_zero_range,
     omega_binomial,
     omega_composition,
     omega_genfunc,
     omega_table,
-    omega_univariate,
-    omega_univariate_hypergeometric,
-    omega_zero_range,
 )
 from .errors import BudgetExceededError, DomainError, SpinParseError
-from .hypergeom import eval_terminating_pfq, termination_index
 from .identical import (
     IdenticalSystem,
     antisym_decomposition,
@@ -61,15 +58,9 @@ from .oracles import (
 from .qpoly import (
     IntPolynomial,
     partitions_at_most,
-    phi,
-    phi2_closed,
     q_analogue,
     q_binomial,
-    q_binomial_by_division,
-    q_binomial_convolution,
-    q_factorial,
     restricted_partitions,
-    sum_phi_equals_p,
 )
 from .spins import SpinMultiset, parse_spins, parse_spin_token, spin_label
 
@@ -96,23 +87,16 @@ __all__ = [
     "decompose",
     "dice_probability",
     "difference_decomposition",
-    "eval_terminating_pfq",
     "inf_antisym_omega",
     "inf_sym_omega",
     "isotropic_isomers",
     "lambda_binomial",
     "lambda_from_omega",
     "lambda_genfunc",
-    "lambda_univariate",
-    "lambda_univariate_hypergeometric",
-    "lambda_zero_range",
     "omega_binomial",
     "omega_composition",
     "omega_genfunc",
     "omega_table",
-    "omega_univariate",
-    "omega_univariate_hypergeometric",
-    "omega_zero_range",
     "oracle_antisym",
     "oracle_omega",
     "oracle_qbinom",
@@ -122,19 +106,12 @@ __all__ = [
     "parse_spins",
     "parse_spin_token",
     "partitions_at_most",
-    "phi",
-    "phi2_closed",
     "q_analogue",
     "q_binomial",
-    "q_binomial_by_division",
-    "q_binomial_convolution",
-    "q_factorial",
     "restricted_partitions",
     "riordan",
     "spin_label",
-    "sum_phi_equals_p",
     "sym_decomposition",
     "sym_genfunc",
-    "termination_index",
     "__version__",
 ]

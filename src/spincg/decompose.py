@@ -19,10 +19,6 @@ table goes through one difference scan, every binomial form through one
 species walk, and decompose audits each result once.  Binomial and
 composition tables each take one walk and cross-check the generating
 function; the tests and the brute-force oracles hold all three to that.
-
-Single-spin-value collections {j^N} additionally admit univariate formulas,
-their spin-infinity (zero-range) limits, and terminating hypergeometric
-forms; those live here too, next to the machinery they cross-check.
 """
 
 from __future__ import annotations
@@ -31,14 +27,12 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, starmap
 from math import prod
 from operator import add, itemgetter, mul, sub
 
 from .errors import DomainError
-from .hypergeom import eval_terminating_pfq, termination_index
 from .qpoly import IntPolynomial, _q_ratio_product
 from .spins import SpinMultiset, spin_label
 from .util import binom
@@ -56,12 +50,6 @@ __all__ = [
     "lambda_binomial",
     "lambda_genfunc",
     "decompose",
-    "omega_univariate",
-    "lambda_univariate",
-    "omega_zero_range",
-    "lambda_zero_range",
-    "omega_univariate_hypergeometric",
-    "lambda_univariate_hypergeometric",
 ]
 
 METHODS = ("genfunc", "binomial", "composition")
@@ -446,136 +434,3 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
     if (table.total_dimension, table.twice_jmin) != expected:
         raise ValueError(f"inconsistent decomposition of {spins.canonical()}")
     return table
-
-
-def omega_univariate(twice_j: int, num: int, n: int) -> int:
-    """Omega_n for N copies of one spin j, by the single alternating sum.
-
-    sum_{s=0}^{floor(n / (2j+1))} (-1)^s C(N + n - 1 - (2j+1) s, N - 1)
-    C(N, s).  Returns 0 outside the table.
-    """
-    if twice_j < 1 or num < 1:
-        raise DomainError("omega_univariate needs twice_j >= 1 and num >= 1")
-    if n < 0:
-        return 0
-    return _alternating_sum(((twice_j, num),), num - 1, n)
-
-
-def lambda_univariate(twice_j: int, num: int, kappa: int) -> int:
-    """lambda_kappa for N copies of one spin j, by the single alternating sum.
-
-    Kernel C(N + kappa - 2 - (2j+1) s, N - 2); needs N >= 2 and kappa in
-    0 .. m, like lambda_binomial.
-    """
-    if twice_j < 1:
-        raise DomainError("lambda_univariate needs twice_j >= 1")
-    if num < 2:
-        raise DomainError(
-            "lambda_univariate needs at least two spins; "
-            "a single spin has multiplicity table {J = j: 1}"
-        )
-    return lambda_binomial(SpinMultiset.from_entries({twice_j: num}), kappa)
-
-
-def omega_zero_range(num: int, n: int) -> int:
-    """Spin-infinity limit of Omega_n for N spins: C(N + n - 1, n).
-
-    With unbounded magnetization range every channel absorbs any excitation
-    count, leaving stars-and-bars.  Matches omega_univariate whenever
-    2j >= n.
-    """
-    if num < 1:
-        raise DomainError("omega_zero_range needs num >= 1")
-    if n < 0:
-        return 0
-    return binom(num + n - 1, n)
-
-
-def lambda_zero_range(num: int, kappa: int) -> int:
-    """Spin-infinity limit of lambda_kappa for N spins: C(N + kappa - 2, kappa).
-
-    Needs N >= 2 for the same reason as lambda_univariate.  Matches
-    lambda_univariate whenever 2j >= kappa.
-    """
-    if num < 2:
-        raise DomainError("lambda_zero_range needs num >= 2")
-    if kappa < 0:
-        return 0
-    return binom(num + kappa - 2, kappa)
-
-
-def _reduced_parameters(
-    extra_upper: Fraction,
-    family_uppers: list[Fraction],
-    family_lowers: list[Fraction],
-    gap: int,
-) -> tuple[list[Fraction], list[Fraction]]:
-    # The upper/lower families satisfy family_uppers[i] ==
-    # family_lowers[i + gap]; such a pair cancels from the series term by
-    # term, except when it carries the termination index K itself: dropping
-    # the upper parameter -K would lengthen the sum and change its value,
-    # so that pair stays in place (it is harmless, its ratio is 1 on every
-    # surviving term).
-    uppers = [extra_upper, *family_uppers]
-    lowers = list(family_lowers)
-    k_active = termination_index(uppers)
-    for i in range(len(family_uppers) - gap):
-        value = family_uppers[i]
-        if value != family_lowers[i + gap]:
-            raise ValueError(f"parameter families do not pair at offset {gap}")
-        if (
-            value.denominator == 1
-            and value <= 0
-            and -value == k_active
-            and uppers.count(value) == 1
-        ):
-            continue
-        uppers.remove(value)
-        lowers.remove(value)
-    return uppers, lowers
-
-
-def _univariate_hypergeometric(twice_j: int, num: int, n: int, top: int) -> Fraction:
-    # The series of omega_univariate_hypergeometric with n and pair offset
-    # top: N - 1 for Omega_n, N - 2 for lambda_kappa (as in _alternating_sum).
-    modulus = twice_j + 1
-    family_uppers = [Fraction(-(n - i), modulus) for i in range(modulus)]
-    family_lowers = [Fraction(-(top + n - i), modulus) for i in range(modulus)]
-    uppers, lowers = _reduced_parameters(
-        Fraction(-num), family_uppers, family_lowers, top
-    )
-    return binom(top + n, n) * eval_terminating_pfq(uppers, lowers)
-
-
-def omega_univariate_hypergeometric(twice_j: int, num: int, n: int) -> Fraction:
-    """omega_univariate as a terminating hypergeometric series at unit argument.
-
-    C(N + n - 1, n) * pFq with uppers {-N} + {-(n - i)/(2j+1)} and lowers
-    {-(N + n - 1 - i)/(2j+1)} for i = 0 .. 2j, after cancelling the
-    coincident upper/lower pairs offset by N - 1.  A cross-check route; the
-    value is the same integer omega_univariate returns, as a Fraction.
-    """
-    if twice_j < 1 or num < 1:
-        raise DomainError(
-            "omega_univariate_hypergeometric needs twice_j >= 1 and num >= 1"
-        )
-    if n < 0:
-        return Fraction(0)
-    return _univariate_hypergeometric(twice_j, num, n, num - 1)
-
-
-def lambda_univariate_hypergeometric(twice_j: int, num: int, kappa: int) -> Fraction:
-    """lambda_univariate as a terminating hypergeometric series at unit argument.
-
-    Same construction with kappa in place of n, prefactor C(N + kappa - 2,
-    kappa), lower family {-(N + kappa - 2 - i)/(2j+1)}, and pair offset
-    N - 2.
-    """
-    if twice_j < 1:
-        raise DomainError("lambda_univariate_hypergeometric needs twice_j >= 1")
-    if num < 2:
-        raise DomainError("lambda_univariate_hypergeometric needs num >= 2")
-    spins = SpinMultiset.from_entries({twice_j: num})
-    if kappa < 0 or kappa > _multiplicity_steps(spins):
-        raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
-    return _univariate_hypergeometric(twice_j, num, kappa, num - 2)

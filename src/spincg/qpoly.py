@@ -17,8 +17,8 @@ _q_ratio_product on a list; q_binomial mirrors its palindromic lower half.
 The Omega product prod [2j+1]_q uses _q_ratio_product unless its N spins
 take few distinct values, N > 2 (sigma + 1); then decompose builds it by
 the recurrence its logarithmic derivative gives, sigma + 1 products per
-coefficient.  The other routes (IntPolynomial products, factorial
-division, nested sums) are cross-checks.
+coefficient.  The other routes (IntPolynomial products, and those in
+spincg.crosscheck) are cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """
@@ -27,26 +27,18 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import sub
 
 from .errors import DomainError
-from .util import heaviside
 
 __all__ = [
     "IntPolynomial",
     "q_analogue",
-    "q_factorial",
     "q_binomial",
-    "q_binomial_by_division",
-    "q_binomial_convolution",
     "restricted_partitions",
     "partitions_at_most",
-    "phi",
-    "phi2_closed",
-    "sum_phi_equals_p",
 ]
 
 
@@ -200,16 +192,6 @@ def q_analogue(n: int) -> IntPolynomial:
     return IntPolynomial((1,) * n)
 
 
-def q_factorial(n: int) -> IntPolynomial:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    if n < 0:
-        raise DomainError("q_factorial needs n >= 0")
-    result = IntPolynomial.one()
-    for i in range(2, n + 1):
-        result = result * q_analogue(i)
-    return result
-
-
 def _q_ratio_product(pairs: list[tuple[int, int]], top: int) -> list[int]:
     """Coefficients 0..top of prod (1 - q^u) / (1 - q^v) over (u, v) pairs.
 
@@ -297,44 +279,6 @@ def q_binomial(a: int, b: int) -> IntPolynomial:
     return IntPolynomial(tuple(head + head[: (degree + 1) // 2][::-1]))
 
 
-def q_binomial_by_division(a: int, b: int) -> IntPolynomial:
-    """Gaussian binomial as [a]_q! / ([b]_q! [a-b]_q!).
-
-    Kept as an independent route for cross-checks; the division is exact,
-    and a nonzero remainder raises ArithmeticError since it would signal an
-    arithmetic bug, not a domain problem.
-    """
-    if a < 0:
-        raise DomainError("q_binomial_by_division needs a >= 0")
-    if b < 0 or b > a:
-        return IntPolynomial.zero()
-    return q_factorial(a).exact_div(q_factorial(b) * q_factorial(a - b))
-
-
-def q_binomial_convolution(a: int, b: int) -> IntPolynomial:
-    """Gaussian binomial by the nested convolution sums.
-
-    Expands [a choose b]_q as 1 + sum over m1 + sum over m1 >= m2 + ...,
-    b levels deep with m1 <= a - b.  Equals 1 when a == b (every sum is
-    empty).  Slower than q_binomial; used as a cross-check.
-    """
-    if b < 0 or a < b:
-        raise DomainError("q_binomial_convolution needs a >= b >= 0")
-
-    @lru_cache(maxsize=None)
-    def tail(depth: int, cap: int) -> IntPolynomial:
-        # 1 + sum_{m=1..cap} q^m * tail(depth-1, m); the nested-sum
-        # expansion of a Gaussian binomial, one summation sign per level.
-        if depth == 0:
-            return IntPolynomial.one()
-        total = IntPolynomial.one()
-        for m in range(1, cap + 1):
-            total = total + tail(depth - 1, m).shift(m)
-        return total
-
-    return tail(b, a - b)
-
-
 def restricted_partitions(n: int, m: int, k: int) -> int:
     """p(n, m, k): partitions of k into at most m parts, each part <= n.
 
@@ -359,67 +303,3 @@ def partitions_at_most(num_parts: int, k: int) -> int:
     if num_parts < 0:
         raise DomainError("partitions_at_most needs num_parts >= 0")
     return restricted_partitions(max(k, 0), num_parts, k)
-
-
-def phi(a: int, b: int, nu: int, k: int) -> int:
-    """phi^{a,b}_{nu,k}: partitions of k into exactly nu parts, each <= a-b.
-
-    Evaluated by the nested sums over nonincreasing m_1 >= ... >= m_{nu-1}
-    gated by two step factors, not by a partition recurrence, so it stays an
-    independent cross-check of restricted_partitions.  phi_0 is the
-    Kronecker delta at k == 0 and phi_1 = H(a-b-k) H(k-1).  The value
-    depends on a and b only through the difference a - b.
-    """
-    if b < 0 or a < b:
-        raise DomainError("phi needs a >= b >= 0")
-    if nu < 0:
-        raise DomainError("phi needs nu >= 0")
-    if nu == 0:
-        return 1 if k == 0 else 0
-
-    @lru_cache(maxsize=None)
-    def level(depth: int, cap: int, quota: int) -> int:
-        # The nested Heaviside sums, one level per summation variable.  cap
-        # is the bound on the next variable (previous variable, or a-b at
-        # the top); quota is k minus everything chosen so far.  At the
-        # innermost level the two step factors read H(m_last - quota) *
-        # H(quota - 1), with m_last equal to the cap that was passed down.
-        if depth == 0:
-            return heaviside(cap - quota) * heaviside(quota - 1)
-        total = 0
-        for m in range(1, cap + 1):
-            if quota - m < depth:
-                # every remaining variable is >= 1 and the final step
-                # factor needs a positive leftover; larger m cannot add
-                break
-            total += level(depth - 1, m, quota - m)
-        return total
-
-    return level(nu - 1, a - b, k)
-
-
-def phi2_closed(a: int, b: int, k: int) -> int:
-    """Closed form of phi^{a,b}_{2,k} (partitions of k into exactly 2 parts).
-
-    Three branches by where k sits relative to the part bound a-b; floor
-    division handles k = 0 via (k-1)//2 == -1.
-    """
-    if b < 0 or a < b:
-        raise DomainError("phi2_closed needs a >= b >= 0")
-    half = (k - 1) // 2
-    bound = a - b
-    if k <= bound:
-        return (k - 1) - half
-    if half < bound < k:
-        return bound - half
-    return 0
-
-
-def sum_phi_equals_p(a: int, b: int, k: int) -> bool:
-    """Whether sum over nu = 0..b of phi^{a,b}_{nu,k} equals p(a-b, b, k).
-
-    Splitting the partitions counted by p(a-b, b, k) by their exact number
-    of parts gives the phi family; this checks the two computations agree.
-    """
-    total = sum(phi(a, b, nu, k) for nu in range(b + 1))
-    return total == restricted_partitions(a - b, b, k)

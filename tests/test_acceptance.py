@@ -21,31 +21,33 @@ from spincg import (
     catalan,
     decompose,
     dice_probability,
-    eval_terminating_pfq,
     inf_antisym_omega,
     inf_sym_omega,
-    lambda_univariate,
-    lambda_univariate_hypergeometric,
-    lambda_zero_range,
     omega_genfunc,
-    omega_univariate,
-    omega_univariate_hypergeometric,
-    omega_zero_range,
     oracle_antisym,
     oracle_omega,
     oracle_qbinom,
     oracle_sym,
     parse_spins,
     q_binomial,
-    q_binomial_by_division,
-    q_binomial_convolution,
     restricted_partitions,
     riordan,
-    sum_phi_equals_p,
     sym_decomposition,
     sym_genfunc,
-    phi,
 )
+from spincg.crosscheck import (
+    lambda_univariate,
+    lambda_univariate_hypergeometric,
+    lambda_zero_range,
+    omega_univariate,
+    omega_univariate_hypergeometric,
+    omega_zero_range,
+    phi,
+    q_binomial_by_division,
+    q_binomial_convolution,
+    sum_phi_equals_p,
+)
+from spincg.hypergeom import eval_terminating_pfq
 from spincg.util import binom
 
 

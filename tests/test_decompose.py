@@ -25,17 +25,19 @@ from spincg import (
     lambda_binomial,
     lambda_from_omega,
     lambda_genfunc,
-    lambda_univariate,
-    lambda_zero_range,
     omega_binomial,
     omega_composition,
     omega_genfunc,
     omega_table,
-    omega_univariate,
-    omega_zero_range,
     oracle_antisym,
     parse_spins,
     q_analogue,
+)
+from spincg.crosscheck import (
+    lambda_univariate,
+    lambda_zero_range,
+    omega_univariate,
+    omega_zero_range,
 )
 from spincg.decompose import _omega_at, _omega_coefficients
 from spincg.qpoly import _q_ratio_product

@@ -7,18 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from spincg import (
-    DomainError,
-    catalan,
-    eval_terminating_pfq,
+from spincg import DomainError, catalan, riordan
+from spincg.crosscheck import (
+    _reduced_parameters,
     lambda_univariate,
     lambda_univariate_hypergeometric,
     omega_univariate,
     omega_univariate_hypergeometric,
-    riordan,
-    termination_index,
 )
-from spincg.decompose import _reduced_parameters
+from spincg.hypergeom import eval_terminating_pfq, termination_index
 from spincg.util import binom
 
 
@@ -142,6 +139,31 @@ def test_lambda_univariate_hypergeometric_matches():
                 expected = lambda_univariate(twice_j, num, kappa)
                 value = lambda_univariate_hypergeometric(twice_j, num, kappa)
                 assert value == expected, (twice_j, num, kappa)
+
+
+def test_univariate_domain_checks():
+    # one message for the four univariate routes; lambda needs a pair of spins
+    for name, route, least in (
+        ("omega_univariate", omega_univariate, 1),
+        ("lambda_univariate", lambda_univariate, 2),
+        ("omega_univariate_hypergeometric", omega_univariate_hypergeometric, 1),
+        ("lambda_univariate_hypergeometric", lambda_univariate_hypergeometric, 2),
+    ):
+        message = f"^{name} needs twice_j >= 1 and num >= {least}$"
+        for twice_j, num in ((0, 3), (-1, 3), (2, least - 1)):
+            with pytest.raises(DomainError, match=message):
+                route(twice_j, num, 0)
+        assert route(2, least, 0) == 1
+    # the kappa bound is m = floor(N 2j / 2) steps, with both parities of N 2j
+    for twice_j, num in ((1, 3), (2, 3), (3, 2)):
+        steps = twice_j * num // 2
+        assert lambda_univariate_hypergeometric(twice_j, num, steps) == \
+            lambda_univariate(twice_j, num, steps)
+        for kappa in (-1, steps + 1):
+            with pytest.raises(DomainError, match="kappa must lie"):
+                lambda_univariate_hypergeometric(twice_j, num, kappa)
+            with pytest.raises(DomainError, match="kappa must lie"):
+                lambda_univariate(twice_j, num, kappa)
 
 
 def test_catalan_identity():

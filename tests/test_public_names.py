@@ -1,18 +1,26 @@
-"""Every exported name resolves, and so does every function the benchmark times.
+"""Every exported name resolves, and so does every name the benchmark reads.
 
-bench/layers.py wraps spincg functions by module and name, so a route moved
-or renamed without it would otherwise break only the benchmark's tracing.
+bench/layers.py wraps spincg functions by module and name, and bench/jobs.py
+calls spincg.<name> on the package, so a route moved or renamed without them
+would otherwise break only the benchmark.  The cross-checks live in
+spincg.crosscheck, which no production module imports.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import spincg
 
-LAYERS_FILE = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+LAYERS_FILE = BENCH / "layers.py"
+JOBS_FILE = BENCH / "jobs.py"
+PACKAGE = Path(spincg.__file__).resolve().parent
 
 
 def test_exported_and_benchmark_layer_names_resolve():
@@ -27,3 +35,52 @@ def test_exported_and_benchmark_layer_names_resolve():
             if not hasattr(module, name):
                 missing.append(f"spincg.{module_name}.{name}")
     assert missing == []
+
+
+def test_every_module_all_resolves():
+    # a name moved out of a module but left in its __all__ fails here
+    modules = [info.name for info in pkgutil.iter_modules(spincg.__path__)]
+    assert "crosscheck" in modules
+    missing = []
+    for module_name in modules:
+        module = importlib.import_module(f"spincg.{module_name}")
+        missing += [f"spincg.{module_name}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_benchmark_job_names_resolve():
+    names = set(re.findall(r"\bspincg\.(\w+)", JOBS_FILE.read_text()))
+    assert "lambda_univariate_hypergeometric" in names
+    submodules = {info.name for info in pkgutil.iter_modules(spincg.__path__)}
+    missing = sorted(name for name in names
+                     if name not in submodules and not hasattr(spincg, name))
+    assert missing == []
+
+
+def _imports(path: Path) -> set[str]:
+    """Modules and names a source file imports; package-relative ones start with '.'."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found.add(base)
+            joint = "" if base.endswith(".") else "."
+            found.update(f"{base}{joint}{alias.name}" for alias in node.names)
+    return {"." + name[len("spincg."):] if name.startswith("spincg.") else name
+            for name in found}
+
+
+def test_crosscheck_stays_out_of_production_imports():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert {"crosscheck", "decompose", "qpoly"} <= {path.stem for path in sources}
+    for path in sources:
+        found = _imports(path)
+        if path.stem not in ("__init__", "crosscheck"):
+            assert ".crosscheck" not in found, path.name
+        if path.stem in ("decompose", "qpoly"):
+            cross_only = {"fractions", ".hypergeom", "functools.lru_cache"}
+            assert not found & cross_only, path.name

@@ -13,14 +13,16 @@ from spincg import (
     IntPolynomial,
     oracle_restricted_partitions,
     partitions_at_most,
-    phi,
-    phi2_closed,
     q_analogue,
     q_binomial,
+    restricted_partitions,
+)
+from spincg.crosscheck import (
+    phi,
+    phi2_closed,
     q_binomial_by_division,
     q_binomial_convolution,
     q_factorial,
-    restricted_partitions,
     sum_phi_equals_p,
 )
 from spincg.qpoly import _gaussian_coefficients, _packed_gaussian, _q_ratio_product
