@@ -5,10 +5,10 @@ returns the full text of its answer and main writes it once.  Exit codes:
 0 success, 2 parse/usage error, 3 domain error, 4 enumeration budget
 exceeded.  argparse exits 2 on usage errors; every other nonzero code is
 the exit_code of the spincg.errors class raised.  A plain argv is read
-straight off the build_parser tree; help and usage errors come from
-argparse.  JSON output is canonical: fixed key order, big integers as
-decimal strings, rendered by json.dumps with default separators, so a
-parse-and-reserialize round trip is byte identical.
+from the verb table that builds the argparse tree; help and usage errors
+come from argparse.  JSON output is canonical: fixed key order, big
+integers as decimal strings, rendered by json.dumps with default
+separators, so a parse-and-reserialize round trip is byte identical.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -197,18 +198,63 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
     return _decomposition_text(table, spins.canonical(), args.format, composition)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output rendering (default text)",
-    )
+_FORMAT = {"--format": dict(choices=("text", "json"), default="text",
+                            help="output rendering (default text)")}
+_INT = dict(type=int, required=True)
+_J = dict(help='spin, e.g. "3/2" or "2"')
+_NUM = dict(type=int, help="number of identical spins")
 
-
-def _add_identical(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--j", required=required, help='spin, e.g. "3/2" or "2"')
-    parser.add_argument(
-        "--num", type=int, required=required, help="number of identical spins"
-    )
+# Every verb, declared once: verb -> (help, set_defaults values, options), each
+# option a flag -> add_argument keywords.  build_parser builds the argparse
+# tree from this table, and _plain_args reads plain argv from it.
+_VERBS = {
+    "cgd": ("full decomposition of a spin multiset", dict(handler=_cmd_cgd), {
+        "--spins": dict(required=True, help='e.g. "1/2^2,1^4"'),
+        "--method": dict(choices=METHODS, default="genfunc"), **_FORMAT}),
+    "omega": ("subspace dimension table or single value", dict(handler=_cmd_omega), {
+        "--spins": dict(required=True),
+        "--n": dict(type=int, help="single index to evaluate"), **_FORMAT}),
+    "genfunc": ("Omega or lambda generating function", dict(handler=_cmd_genfunc), {
+        "--spins": dict(required=True),
+        "--lambda": dict(dest="lambda_", action="store_true",
+                         help="emit (1 - q) G_Omega instead of G_Omega"), **_FORMAT}),
+    **{verb: (f"{composition} composition of identical spins",
+              dict(handler=_cmd_identical, composition=composition),
+              {"--j": dict(_J, required=True), "--num": dict(_NUM, required=True),
+               **_FORMAT})
+       for verb, composition in (("sym", "symmetric"), ("antisym", "antisymmetric"))},
+    "qbinom": ("Gaussian binomial coefficient [a choose b]_q",
+               dict(handler=_cmd_qbinom), {"--a": _INT, "--b": _INT, **_FORMAT}),
+    "partitions": ("partitions of k into at most m parts, each at most n",
+                   dict(handler=_cmd_partitions), {
+        "--max-part": dict(_INT, help="largest part n"),
+        "--max-parts": dict(_INT, help="most parts m"),
+        "--k": dict(_INT, help="number being partitioned")}),
+    "compose": ("bounded integer compositions of n", dict(handler=_cmd_compose), {
+        "--parts": dict(required=True,
+                        help='part bounds with counts, e.g. "2^5,4^3,5^4"'),
+        "--n": _INT,
+        "--allow-zero": dict(action="store_true", help="parts may be zero")}),
+    "dice": ("probability that fair dice sum to a value", dict(handler=_cmd_dice), {
+        "--dice": _INT, "--sum": _INT,
+        "--digits": dict(type=int,
+                         help="also print the decimal expansion to this many digits")}),
+    **{verb: (f"first K {verb.capitalize()} numbers, via decompositions",
+              dict(handler=_cmd_sequence, term=term), {"--count": _INT})
+       for verb, term in (("catalan", catalan), ("riordan", riordan))},
+    "isotropic": ("isotropic isomers of a multi-level unit",
+                  dict(handler=_cmd_isotropic), {
+        "--dim": dict(_INT, help="levels per unit"),
+        "--rank": dict(_INT, help="number of units")}),
+    "oracle": ("brute-force enumeration instead of the fast formulas",
+               dict(handler=_cmd_oracle), {
+        "--spins": dict(help="full decomposition of a multiset"),
+        "--j": _J, "--num": _NUM,
+        "--composition": dict(choices=("full", "symmetric", "antisymmetric")),
+        "--budget": dict(type=int, default=DEFAULT_MAX_STATES,
+                         help="max states to enumerate"),
+        **_FORMAT}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,94 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Clebsch-Gordan decomposition of SU(2) spin collections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cgd", help="full decomposition of a spin multiset")
-    p.add_argument("--spins", required=True, help='e.g. "1/2^2,1^4"')
-    p.add_argument("--method", choices=METHODS, default="genfunc")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_cgd)
-
-    p = sub.add_parser("omega", help="subspace dimension table or single value")
-    p.add_argument("--spins", required=True)
-    p.add_argument("--n", type=int, default=None, help="single index to evaluate")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_omega)
-
-    p = sub.add_parser("genfunc", help="Omega or lambda generating function")
-    p.add_argument("--spins", required=True)
-    p.add_argument(
-        "--lambda", dest="lambda_", action="store_true",
-        help="emit (1 - q) G_Omega instead of G_Omega",
-    )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_genfunc)
-
-    for verb, composition in (("sym", "symmetric"), ("antisym", "antisymmetric")):
-        p = sub.add_parser(verb, help=f"{composition} composition of identical spins")
-        _add_identical(p)
-        _add_format(p)
-        p.set_defaults(handler=_cmd_identical, composition=composition)
-
-    p = sub.add_parser("qbinom", help="Gaussian binomial coefficient [a choose b]_q")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_qbinom)
-
-    p = sub.add_parser(
-        "partitions", help="partitions of k into at most m parts, each at most n"
-    )
-    p.add_argument("--max-part", type=int, required=True, help="largest part n")
-    p.add_argument("--max-parts", type=int, required=True, help="most parts m")
-    p.add_argument("--k", type=int, required=True, help="number being partitioned")
-    p.set_defaults(handler=_cmd_partitions)
-
-    p = sub.add_parser("compose", help="bounded integer compositions of n")
-    p.add_argument(
-        "--parts", required=True,
-        help='part bounds with counts, e.g. "2^5,4^3,5^4"',
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--allow-zero", action="store_true", help="parts may be zero"
-    )
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("dice", help="probability that fair dice sum to a value")
-    p.add_argument("--dice", type=int, required=True)
-    p.add_argument("--sum", type=int, required=True)
-    p.add_argument(
-        "--digits", type=int, default=None,
-        help="also print the decimal expansion to this many digits",
-    )
-    p.set_defaults(handler=_cmd_dice)
-
-    for verb, term in (("catalan", catalan), ("riordan", riordan)):
-        p = sub.add_parser(
-            verb, help=f"first K {verb.capitalize()} numbers, via decompositions"
-        )
-        p.add_argument("--count", type=int, required=True)
-        p.set_defaults(handler=_cmd_sequence, term=term)
-
-    p = sub.add_parser("isotropic", help="isotropic isomers of a multi-level unit")
-    p.add_argument("--dim", type=int, required=True, help="levels per unit")
-    p.add_argument("--rank", type=int, required=True, help="number of units")
-    p.set_defaults(handler=_cmd_isotropic)
-
-    p = sub.add_parser(
-        "oracle", help="brute-force enumeration instead of the fast formulas"
-    )
-    p.add_argument("--spins", default=None, help="full decomposition of a multiset")
-    _add_identical(p, required=False)
-    p.add_argument(
-        "--composition", choices=("full", "symmetric", "antisymmetric"), default=None
-    )
-    p.add_argument(
-        "--budget", type=int, default=DEFAULT_MAX_STATES, help="max states to enumerate"
-    )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_oracle)
-
+    for verb, (help_, defaults, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -317,57 +280,64 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _plain_args(argv: list[str] | None) -> argparse.Namespace | None:
-    """parse_args(argv) for a plain argv, read off the tree; None otherwise.
+def _plain_view(verb: str, defaults: dict, options: dict) -> tuple[dict, dict, set]:
+    # One verb as parse_args sees it: the Namespace before any option is read,
+    # flag -> (dest, type or None for a switch, choices), and the required flags.
+    namespace, reads = {"command": verb, **defaults}, {}
+    for flag, kw in options.items():
+        dest = kw.get("dest", flag[2:].replace("-", "_"))
+        switch = kw.get("action") == "store_true"
+        namespace[dest] = kw.get("default", False if switch else None)
+        reads[flag] = dest, None if switch else kw.get("type", str), kw.get("choices")
+    return namespace, reads, {f for f, kw in options.items() if kw.get("required")}
 
-    Help, abbreviations, --opt=value, --, stray tokens, missing options and
-    bad values return None and are left to argparse and its messages.
+
+_PLAIN = {verb: _plain_view(verb, defaults, options)
+          for verb, (_, defaults, options) in _VERBS.items()}
+# argparse reads a "-" token as a value, not an option, when it matches this
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+def _plain_args(argv: list[str] | None) -> argparse.Namespace | None:
+    """parse_args(argv) of a plain argv, read from the verb table that builds the tree.
+
+    Anything else returns None and is left to argparse and its messages: help,
+    abbreviations, --opt=value, --, stray tokens, missing options, bad values.
     """
-    # Private argparse attributes: _actions (build_parser adds the subparsers
-    # action last), _defaults (set_defaults values), _option_string_actions
-    # (exact option string -> action) and _negative_number_matcher (which "-"
-    # tokens are values).  The fuzz test in tests/test_cli.py guards them.
     argv = sys.argv[1:] if argv is None else argv
-    verbs = _parser()._actions[-1]
-    sub = verbs.choices.get(argv[0]) if argv else None
-    if sub is None:
+    view = _PLAIN.get(argv[0]) if argv else None
+    if view is None:
         return None
-    negative = sub._negative_number_matcher.match
-    args = argparse.Namespace(**{verbs.dest: argv[0], **sub._defaults})
-    for action in sub._actions:
-        if action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
+    namespace, reads, required = view
+    args = argparse.Namespace(**namespace)
     seen = set()
     tokens = iter(argv[1:])
     for token in tokens:
-        action = sub._option_string_actions.get(token)
-        if action is None or action.default is argparse.SUPPRESS:  # -h, --help
+        if token not in reads:
             return None
-        if action.nargs == 0:
-            values = []
-        elif action.nargs is None:
+        dest, convert, choices = reads[token]
+        if convert is None:
+            value = True
+        else:
             value = next(tokens, None)
-            if value is None or value.startswith("-") and not negative(value):
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER(value):
                 return None
             try:
-                values = action.type(value) if action.type is not None else value
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = convert(value)
+            except ValueError:
                 return None
-            if action.choices is not None and values not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-        else:
-            return None
-        action(sub, args, values, token)
-        seen.add(action)
-    if any(action.required and action not in seen for action in sub._actions):
-        return None
-    return args
+        setattr(args, dest, value)
+        seen.add(token)
+    return args if required <= seen else None
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one spincg command line; return its exit code (0, 2, 3 or 4).
 
-    A plain argv is read off the build_parser tree; the rest goes to argparse.
+    A plain argv is read from the verb table that builds the tree; the rest
+    goes to argparse.
 
     Not thread-safe: for the length of the call it lifts the interpreter's
     int/str digit cap, which is process-wide, so another thread converting

@@ -442,6 +442,7 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
         assert outcomes(order) == reference
 
     # one tree of 14 parsers (the root and 13 verbs), built in the first call
+    # that the plain reader leaves to argparse; plain calls build none
     built_during = []
     init = argparse.ArgumentParser.__init__
 
@@ -451,9 +452,17 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()
-    for call in range(50):
-        run(capsys, *REUSE_ARGVS[call % len(REUSE_ARGVS)])
-    assert built_during == [0] * 14
+    order = [REUSE_ARGVS[call % len(REUSE_ARGVS)] for call in range(50)]
+    for call, argv in enumerate(order):
+        run(capsys, *argv)
+    first = next(call for call, argv in enumerate(order) if cli._plain_args(argv) is None)
+    assert built_during == [first] * 14
+    built_during.clear()
+    cli._parser.cache_clear()
+    plain = [argv for argv in REUSE_ARGVS if cli._plain_args(argv) is not None]
+    for call, argv in enumerate(plain):
+        run(capsys, *argv)
+    assert plain and built_during == []
 
 
 # One valid argv per verb, covering every option but help; the fuzz test
@@ -463,7 +472,7 @@ FUZZ_SEEDS = [
     ["omega", "--spins", "1/2,1", "--n", "1", "--format", "text"],
     ["genfunc", "--spins", "1/2^2", "--lambda", "--format", "json"],
     ["sym", "--j", "1", "--num", "3", "--format", "json"],
-    ["antisym", "--j", "3/2", "--num", "2"],
+    ["antisym", "--j", "3/2", "--num", "2", "--format", "text"],
     ["qbinom", "--a", "5", "--b", "2", "--format", "text"],
     ["partitions", "--max-part", "3", "--max-parts", "4", "--k", "5"],
     ["compose", "--parts", "2^2", "--n", "2", "--allow-zero"],
@@ -541,6 +550,15 @@ def test_plain_argv_never_reach_argparse(capsys, monkeypatch):
         assert not reaches_argparse(argv), argv
     for argv in (["--help"], [], ["nonsense"], ["cgd", "--spins", "1", "extra"]):
         assert reaches_argparse(argv), argv
+
+
+def test_fuzz_seeds_cover_every_option():
+    # an option added to the verb table without a fuzz seed fails here
+    seeded = {(argv[0], token) for argv in FUZZ_SEEDS for token in argv[1:]}
+    declared = {(verb, flag) for verb, (_, _, options) in cli._VERBS.items()
+                for flag in options}
+    assert {argv[0] for argv in FUZZ_SEEDS} == set(cli._VERBS)
+    assert declared - seeded == set()
 
 
 def test_cli_output_unchanged_under_optimized_mode():

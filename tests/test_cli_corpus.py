@@ -25,7 +25,7 @@ def _mismatch(row: dict, code: int, out: str, err: str) -> str | None:
             diff = difflib.unified_diff(
                 row[name].splitlines(keepends=True), text.splitlines(keepends=True),
                 "expected", "got")
-            problems.append(f"{name} differs:\n" + "".join(map(repr, diff)))
+            problems.append(f"{name} differs:\n" + "\n".join(map(repr, diff)))
         else:
             problems.append(f"{name} differs ({len(text)} characters)")
     return "; ".join(problems) or None
@@ -40,7 +40,10 @@ def test_cli_corpus(monkeypatch):
     for row in rows:
         if row.get("argparse") and not same_argparse:
             continue
-        problem = _mismatch(row, *run(row["argv"]))
+        try:
+            problem = _mismatch(row, *run(row["argv"]))
+        except Exception as exc:  # main must end every argv in an exit code
+            problem = f"raised {exc!r}"
         if problem:
             failures.append(f"{row['argv']}: {problem}")
     assert not failures, f"{len(failures)} rows differ:\n" + "\n".join(failures[:5])

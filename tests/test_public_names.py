@@ -16,6 +16,7 @@ import re
 from pathlib import Path
 
 import spincg
+from spincg.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERS_FILE = BENCH / "layers.py"
@@ -84,3 +85,19 @@ def test_crosscheck_stays_out_of_production_imports():
         if path.stem in ("decompose", "qpoly"):
             cross_only = {"fractions", ".hypergeom", "functools.lru_cache"}
             assert not found & cross_only, path.name
+
+
+def test_no_private_argparse_attribute_in_src():
+    # CPython may rename argparse's private attributes in any release, so
+    # no module may read one of those found on build_parser()'s objects
+    root = build_parser()
+    verb = root._actions[-1].choices["cgd"]
+    private = {name for obj in (root, verb, *root._actions, *verb._actions)
+               for name in dir(obj)
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_actions", "_defaults", "_option_string_actions"} <= private
+    used = [f"{path.name}:{node.lineno}: .{node.attr}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+    assert used == []
