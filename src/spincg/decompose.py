@@ -9,21 +9,20 @@ where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
   prod_i [2j_i + 1]_q, by q-ratios or, when 2 (sigma + 1) < N for sigma
   distinct spins, by the recurrence its logarithmic derivative gives,
 * generalized binomial: an alternating sum of binomial products,
-* multi-restricted composition: a sum over partitions placed into the
-  spin "channels", counting the ways each part fits.
+* multi-restricted composition: partitions placed into the spin
+  "channels", summed by one dynamic program over the part values.
 
 Multiplicities follow by first differences, lambda_kappa = Omega_kappa -
 Omega_{kappa-1} with J_kappa = J_0 - kappa, and also come straight from a
 binomial formula or from the polynomial (1 - q) * G_Omega.  Every Omega
 table goes through one difference scan, every binomial form through one
 species walk, and decompose audits each result once.  Binomial and
-composition tables each take one walk and cross-check the generating
+composition tables each take one pass and cross-check the generating
 function; the tests and the brute-force oracles hold all three to that.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -232,7 +231,9 @@ def _species_coefficients(entries: tuple[tuple[int, int], ...], last: int) -> di
     coeffs = {0: 1}
     for twice_j, mult in entries:
         step = twice_j + 1
-        row = [(-1) ** s * binom(mult, s) for s in range(min(mult, last // step) + 1)]
+        row = [1]
+        for s in range(1, min(mult, last // step) + 1):
+            row.append(-row[-1] * (mult - s + 1) // s)
         grown: dict[int, int] = {}
         for weight, coeff in coeffs.items():
             for s in range(min(len(row) - 1, (last - weight) // step) + 1):
@@ -279,7 +280,7 @@ def omega_binomial(spins: SpinMultiset, n: int) -> int:
 def omega_composition(spins: SpinMultiset, n: int) -> int:
     """Single Omega_n by _composition_counts; out-of-range n returns 0.
 
-    A cross-check of genfunc; cgd --method composition runs the same walk.
+    A cross-check of genfunc; it runs cgd --method composition's DP to n.
     """
     if n < 0 or n > spins.twice_j0:
         return 0
@@ -289,37 +290,36 @@ def omega_composition(spins: SpinMultiset, n: int) -> int:
 def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
     """Omega_0 .. Omega_top by counting multi-restricted compositions.
 
-    A partition is placed into the spin channels: a part of value a fits a
-    channel with 2j >= a.  With parts grouped by value in descending order,
-    each group of s parts of value a picks s of the channels admitting a and
-    not yet taken, so the partition adds prod C(admitting(a) - taken, s) to
-    the count of its total.  One depth-first walk visits each partition of
-    total <= top once, carrying that product down the path.
+    s parts of value v go into s of the channels with 2j >= v that larger
+    parts left free: C(free, s) ways.  A dynamic program over v = max 2j .. 2
+    keeps one summed weight per (taken, total); v = 1 adds into the counts.
     """
-    caps = spins.twice_spins  # ascending
-    admitting = [len(caps) - bisect_left(caps, v) for v in range(caps[-1] + 1)]
-    counts = [1] + [0] * top
-
-    def visit(total: int, cap: int, taken: int, product: int) -> None:
-        room = top - total
-        for value in range(min(cap, room), 0, -1):
-            free = admitting[value] - taken
-            for count in range(1, min(free, room // value) + 1):
-                weight = product * binom(free, count)
-                reached = total + count * value
-                counts[reached] += weight
-                if value > 1 and reached < top:
-                    visit(reached, value - 1, taken + count, weight)
-
-    visit(0, caps[-1], 0, 1)
+    species = list(spins.entries)  # ascending; popped as v reaches their 2j
+    admitting = 0
+    states = {(0, 0): 1}
+    for value in range(min(species[-1][0], top), 1, -1):
+        while species and species[-1][0] >= value:
+            admitting += species.pop()[1]
+        for (taken, total), weight in states.copy().items():  # each moves once per v
+            if taken < admitting:
+                for count in range(1, min(admitting - taken, (top - total) // value) + 1):
+                    weight = weight * (admitting - taken - count + 1) // count
+                    key = (taken + count, total + count * value)
+                    states[key] = states.get(key, 0) + weight
+    counts = [0] * (top + 1)
+    num = spins.num_spins
+    for (taken, total), weight in states.items():
+        for count in range(min(num - taken, top - total) + 1):
+            counts[total + count] += weight
+            weight = weight * (num - taken - count) // (count + 1)
     return counts
 
 
 def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
     """Full Omega table by any of the three methods.
 
-    Binomial and composition, the cross-checks of genfunc that cgd --method
-    selects, fill all of 0 .. 2J_0 and so check genfunc's mirror as well.
+    Binomial (one species walk) and composition (one dynamic program), the
+    cross-checks cgd --method selects, fill 0 .. 2J_0 and check genfunc's mirror.
     """
     if method == "genfunc":
         return omega_genfunc(spins)
@@ -414,7 +414,7 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
 
     method selects how the multiplicities are computed: "genfunc" (default)
     differences omega_genfunc's table, "composition" differences Omega_0 ..
-    Omega_floor(J_0) from one partition walk, and "binomial" takes every
+    Omega_floor(J_0) from one dynamic program, and "binomial" takes every
     lambda_kappa from one species walk and one binomial row (falling back to
     the Omega-difference route for a single spin, where the direct kernel is
     undefined).  The three methods agree entry for entry, and every result

@@ -59,8 +59,8 @@ def oracle_omega(
     through all prod (2j_i + 1) tuples odometer-style, maintaining the
     running digit sum, and histograms it.
     """
-    caps = spins.twice_spins
     _require(budget, spins.total_dimension, f"oracle_omega({spins})")
+    caps = spins.twice_spins
     span = sum(caps)
     counts = [0] * (span + 1)
     digits = [0] * len(caps)

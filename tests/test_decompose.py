@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from spincg.crosscheck import (
     omega_univariate,
     omega_zero_range,
 )
-from spincg.decompose import _omega_at, _omega_coefficients
+from spincg.decompose import _composition_counts, _omega_at, _omega_coefficients
 from spincg.qpoly import _q_ratio_product
 from spincg.util import binom
 
@@ -260,12 +261,40 @@ def test_omega_table_methods_agree():
         decompose(WORKED, "magic")
 
 
-@pytest.mark.parametrize("text", ["6^5,7/2^3,3^5", "4^4,6^6"])
-def test_composition_route_walks_each_partition_once(text):
-    # 13 and 10 spins: one walk over the bounded partitions serves the whole
-    # table, which keeps these two well under a second
+@pytest.mark.parametrize(
+    "text", ["6^5,7/2^3,3^5", "4^4,6^6", "7/2^40", "1/2^2000", "1^300", "3/2^60"]
+)
+def test_composition_dp_matches_genfunc(text):
+    # 13 and 10 spins, then few species with many spins each, whose bounded
+    # partitions are too many to visit one by one (7/2^40 has 1.1 million of
+    # total <= J_0); the dynamic program over (taken, total) states keeps each
+    # case well under a second.  The half table, the full table and a single
+    # mid-table value must equal genfunc's, and so must the binomial route's
+    # multiplicities
     spins = parse_spins(text)
+    reference = omega_genfunc(spins)
+    span = spins.twice_j0
     assert decompose(spins, "composition") == decompose(spins, "genfunc")
+    assert decompose(spins, "binomial") == decompose(spins, "genfunc")
+    assert omega_table(spins, "composition") == reference
+    assert _composition_counts(spins, span // 2) == list(reference.values[: span // 2 + 1])
+    assert omega_composition(spins, span // 3) == reference.values[span // 3]
+
+
+def test_composition_memory_is_bounded_by_the_answer():
+    # the last part value, 1, adds straight into the counts: 1^600's full
+    # table peaked at 2.7 times the table's bytes, and at 550 times when
+    # that value also built a (taken, total) state dict.  tracemalloc
+    # traces only this process.
+    omega_table(parse_spins("1^3"), "composition")  # first-call set-up stays untraced
+    tracemalloc.start()
+    try:
+        table = omega_table(parse_spins("1^600"), "composition")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    answer_bytes = sum(value.bit_length() for value in table.values) // 8
+    assert peak < 8 * answer_bytes, (peak, answer_bytes)
 
 
 def test_cross_check_tables_match_genfunc_in_full():
