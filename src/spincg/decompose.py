@@ -6,8 +6,8 @@ the table of z-projection subspace dimensions Omega_n = dim of the subspace
 where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
 
 * generating function: Omega_n is the q^n coefficient of
-  prod_i [2j_i + 1]_q, by q-ratios or, when 2 (sigma + 1) < N for sigma
-  distinct spins, by the recurrence its logarithmic derivative gives,
+  prod_i [2j_i + 1]_q, by q-ratios or by the recurrence its logarithmic
+  derivative gives (omega_genfunc states which runs when),
 * generalized binomial: an alternating sum of binomial products,
 * multi-restricted composition: partitions placed into the spin
   "channels", summed by one dynamic program over the part values.

@@ -7,6 +7,8 @@ enumeration budget overruns exit 4.
 
 from __future__ import annotations
 
+__all__ = ["SpinParseError", "DomainError", "BudgetExceededError"]
+
 
 class SpinParseError(ValueError):
     """Malformed spin or composition specification text."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import combinations, combinations_with_replacement
 
 from .decompose import OmegaTable
@@ -45,8 +46,10 @@ class EnumerationBudget:
 
 def _require(budget: EnumerationBudget, states: int, what: str) -> None:
     if states > budget.max_states:
+        # Decimal prints the same digits as str(int) without its digit cap
         raise BudgetExceededError(
-            f"{what} needs {states} states, over the budget of {budget.max_states}"
+            f"{what} needs {Decimal(states)} states, "
+            f"over the budget of {Decimal(budget.max_states)}"
         )
 
 

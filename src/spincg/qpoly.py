@@ -14,11 +14,8 @@ truncated at the highest coefficient asked for.  It packs the product into
 one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
 _q_ratio_product on a list; q_binomial mirrors its palindromic lower half.
-The Omega product prod [2j+1]_q uses _q_ratio_product unless its N spins
-take few distinct values, N > 2 (sigma + 1); then decompose builds it by
-the recurrence its logarithmic derivative gives, sigma + 1 products per
-coefficient.  The other routes (IntPolynomial products, and those in
-spincg.crosscheck) are cross-checks.
+decompose also uses _q_ratio_product for Omega tables.  The other routes
+(IntPolynomial products, and those in spincg.crosscheck) are cross-checks.
 
 No floats anywhere; coefficients and counts are Python ints.
 """

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from .errors import SpinParseError
 from .util import heaviside
 
+__all__ = ["SpinMultiset", "parse_spins", "parse_spin_token", "spin_label"]
+
 _ITEM_RE = re.compile(r"^(\d+)(?:/(\d+))?(?:\^(\d+))?$")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -20,6 +21,7 @@ from spincg import (
     oracle_qbinom,
     oracle_restricted_partitions,
     oracle_sym,
+    parse_spins,
     q_binomial,
     restricted_partitions,
     sym_genfunc,
@@ -101,6 +103,26 @@ def test_budget_guards():
         oracle_restricted_partitions(50, 50, 1200, budget=TIGHT)
     # the default budget admits moderate problems
     assert oracle_omega(SpinMultiset.from_entries({1: 10})).total == 1024
+
+
+def test_budget_message_past_the_int_digit_cap():
+    # 3^20000 has 9,543 digits, past CPython's default int/str cap, which
+    # the library leaves in force; the overrun must still be a
+    # BudgetExceededError carrying the whole count
+    cap = getattr(sys, "get_int_max_str_digits", None)
+    if cap is not None:
+        previous = cap()
+        sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BudgetExceededError) as caught:
+            oracle_omega(parse_spins("1^20000"), budget=TIGHT)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(previous)
+    head, tail = "oracle_omega(1^20000) needs ", " states, over the budget of 10"
+    message = str(caught.value)
+    assert message.startswith(head + "2661303427") and message.endswith("0001" + tail)
+    assert len(message) == len(head) + 9543 + len(tail)
 
 
 def test_fast_paths_match_enumeration():

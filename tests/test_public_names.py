@@ -2,7 +2,8 @@
 
 bench/layers.py wraps spincg functions by module and name, and bench/jobs.py
 calls spincg.<name> on the package, so a route moved or renamed without them
-would otherwise break only the benchmark.  The cross-checks live in
+would otherwise break only the benchmark.  The package exports exactly
+the __all__ of each production module; the cross-checks live in
 spincg.crosscheck, which no production module imports.
 """
 
@@ -22,6 +23,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERS_FILE = BENCH / "layers.py"
 JOBS_FILE = BENCH / "jobs.py"
 PACKAGE = Path(spincg.__file__).resolve().parent
+PRODUCTION = ("counting", "decompose", "errors", "identical", "oracles", "qpoly", "spins")
 
 
 def test_exported_and_benchmark_layer_names_resolve():
@@ -36,6 +38,23 @@ def test_exported_and_benchmark_layer_names_resolve():
             if not hasattr(module, name):
                 missing.append(f"spincg.{module_name}.{name}")
     assert missing == []
+
+
+def test_package_all_is_the_production_modules_all():
+    # a new module must be exported here or named as internal below
+    modules = {info.name for info in pkgutil.iter_modules(spincg.__path__)}
+    assert modules == {*PRODUCTION, "cli", "crosscheck", "hypergeom", "util"}
+    owner = {}
+    for module_name in PRODUCTION:
+        module = importlib.import_module(f"spincg.{module_name}")
+        for name in module.__all__:
+            # a star import lets the later of two modules win silently
+            assert owner.setdefault(name, module_name) == module_name, name
+            assert getattr(spincg, name) is getattr(module, name), name
+    assert len(spincg.__all__) == len(set(spincg.__all__))
+    assert sorted(spincg.__all__) == sorted(["__version__", *owner])
+    # decompose names a submodule and its function; the package keeps the function
+    assert spincg.decompose is importlib.import_module("spincg.decompose").decompose
 
 
 def test_every_module_all_resolves():
