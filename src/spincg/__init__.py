@@ -9,30 +9,63 @@ arithmetic throughout; brute-force oracles double-check every fast path.
 The paper's other routes, hypergeometric and univariate forms included,
 are cross-checks and live in spincg.crosscheck.
 
-The package exports exactly each production module's __all__.
+The package exports exactly each production module's __all__.  Importing
+it loads no module: the first lookup of a name on the package loads the
+whole library at once (PEP 562), so spincg.cli and each of its verbs load
+only the modules they use.
 """
 
-from . import counting, decompose, errors, identical, oracles, qpoly, spins
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
-__all__ += counting.__all__
-# read before the star import below rebinds decompose to the function
-__all__ += decompose.__all__
-__all__ += errors.__all__
-__all__ += identical.__all__
-__all__ += oracles.__all__
-__all__ += qpoly.__all__
-__all__ += spins.__all__
+_PRODUCTION = (
+    "counting", "decompose", "errors", "identical", "oracles", "qpoly", "spins",
+)
 
-from .counting import *
-from .decompose import *
-from .errors import *
-from .identical import *
-from .oracles import *
-from .qpoly import *
-from .spins import *
 
-# identical-scan in bench/jobs.py reads spincg.lambda_univariate_hypergeometric
-from .crosscheck import lambda_univariate_hypergeometric
+def _library() -> dict:
+    """The package namespace, with every production module's __all__ bound in it.
+
+    The whole library loads at once, not name by name, because
+    bench/layers.py reads every module it wraps from sys.modules.
+    """
+    namespace = globals()
+    if "__all__" in namespace:
+        return namespace
+    from importlib import import_module
+
+    exported = ["__version__"]
+    for name in _PRODUCTION:
+        module = import_module(f"{__name__}.{name}")
+        exported += module.__all__
+        namespace.update((n, getattr(module, n)) for n in module.__all__)
+    # identical-scan in bench/jobs.py reads spincg.lambda_univariate_hypergeometric
+    from .crosscheck import lambda_univariate_hypergeometric
+
+    namespace["lambda_univariate_hypergeometric"] = lambda_univariate_hypergeometric
+    namespace["__all__"] = exported  # bound last, it marks the load as done
+    return namespace
+
+
+def __getattr__(name: str):
+    try:
+        return _library()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    return sorted(_library())
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds each submodule it loads on the package;
+        # spincg.decompose stays the function, not its module.
+        if name != "decompose" or not isinstance(value, ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

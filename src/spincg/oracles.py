@@ -44,12 +44,21 @@ class EnumerationBudget:
     max_states: int = DEFAULT_MAX_STATES
 
 
-def _require(budget: EnumerationBudget, states: int, what: str) -> None:
+def _digits(value):
+    # Decimal prints an int's digits as str does, without the int/str digit cap
+    return Decimal(value) if isinstance(value, int) else value
+
+
+def _require(budget: EnumerationBudget, states: int, call: str, *args) -> None:
+    """Raise BudgetExceededError when states is over the budget.
+
+    call.format(*args) names the oracle call in the message, which is built
+    only then.
+    """
     if states > budget.max_states:
-        # Decimal prints the same digits as str(int) without its digit cap
         raise BudgetExceededError(
-            f"{what} needs {Decimal(states)} states, "
-            f"over the budget of {Decimal(budget.max_states)}"
+            f"{call.format(*map(_digits, args))} needs {_digits(states)} states, "
+            f"over the budget of {_digits(budget.max_states)}"
         )
 
 
@@ -62,7 +71,7 @@ def oracle_omega(
     through all prod (2j_i + 1) tuples odometer-style, maintaining the
     running digit sum, and histograms it.
     """
-    _require(budget, spins.total_dimension, f"oracle_omega({spins})")
+    _require(budget, spins.total_dimension, "oracle_omega({})", spins)
     caps = spins.twice_spins
     span = sum(caps)
     counts = [0] * (span + 1)
@@ -93,7 +102,7 @@ def oracle_sym(
     for bosons); the histogram of level sums is the table.
     """
     states = math.comb(twice_j + count, count)
-    _require(budget, states, f"oracle_sym(2j={twice_j}, N={count})")
+    _require(budget, states, "oracle_sym(2j={}, N={})", twice_j, count)
     span = twice_j * count
     counts = [0] * (span + 1)
     for levels in combinations_with_replacement(range(twice_j + 1), count):
@@ -112,7 +121,7 @@ def oracle_antisym(
     if count > twice_j + 1:
         return OmegaTable((), -1)
     states = math.comb(twice_j + 1, count)
-    _require(budget, states, f"oracle_antisym(2j={twice_j}, N={count})")
+    _require(budget, states, "oracle_antisym(2j={}, N={})", twice_j, count)
     span = sum(range(twice_j + 1 - count, twice_j + 1))
     counts = [0] * (span + 1)
     for levels in combinations(range(twice_j + 1), count):
@@ -130,7 +139,7 @@ def oracle_qbinom(
     if b < 0 or b > a:
         return IntPolynomial.zero()
     states = math.comb(a, b)
-    _require(budget, states, f"oracle_qbinom({a}, {b})")
+    _require(budget, states, "oracle_qbinom({}, {})", a, b)
     shift = b * (b + 1) // 2
     counts = [0] * (b * (a - b) + 1)
     for subset in combinations(range(1, a + 1), b):
@@ -143,30 +152,37 @@ def oracle_restricted_partitions(
 ) -> int:
     """p(n, m, k) by listing the partitions themselves.
 
-    Walks nonincreasing part sequences directly; each visited node counts
-    against the budget.
+    Walks nonincreasing part sequences directly, depth first on an explicit
+    stack, largest part first; each visited node counts against the budget.
+    A node is (sum still to place, largest part allowed, parts left).
     """
     if k < 0:
         return 0
     if k == 0:
         return 1
-    visited = 0
 
-    def walk(remaining: int, cap: int, slots: int) -> int:
-        nonlocal visited
+    def children(remaining: int, cap: int, slots: int):
+        # one at a time, so a wide node costs no memory before the budget
+        # stops the walk
+        for value in range(min(cap, remaining), 0, -1):
+            yield remaining - value, value, slots - 1
+
+    found = visited = 0
+    frames = [iter(((k, n, m),))]
+    while frames:
+        node = next(frames[-1], None)
+        if node is None:
+            frames.pop()
+            continue
         visited += 1
         if visited > budget.max_states:
             raise BudgetExceededError(
-                f"oracle_restricted_partitions({n}, {m}, {k}) passed "
-                f"{budget.max_states} enumeration steps"
+                "oracle_restricted_partitions({}, {}, {}) passed {} enumeration steps"
+                .format(*map(_digits, (n, m, k, budget.max_states)))
             )
+        remaining, cap, slots = node
         if remaining == 0:
-            return 1
-        if slots == 0 or cap == 0:
-            return 0
-        found = 0
-        for value in range(min(cap, remaining), 0, -1):
-            found += walk(remaining - value, value, slots - 1)
-        return found
-
-    return walk(k, n, m)
+            found += 1
+        elif slots != 0 and cap != 0:
+            frames.append(children(remaining, cap, slots))
+    return found

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from spincg import cli
+from spincg import cli, counting
 from spincg.cli import main
 
 
@@ -148,11 +148,21 @@ def test_partitions_compose_dice(capsys):
     assert out.strip() == "0"
 
 
+def test_verb_table_literals_match_the_library():
+    # the table holds them as literals, so building the parser imports neither module
+    from spincg.decompose import METHODS
+    from spincg.oracles import DEFAULT_MAX_STATES
+
+    assert cli._VERBS["cgd"][2]["--method"] == dict(choices=METHODS, default="genfunc")
+    assert cli._VERBS["oracle"][2]["--budget"]["default"] == DEFAULT_MAX_STATES
+
+
 def test_dice_digits_checked_before_the_probability(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("dice_probability called")
 
-    monkeypatch.setattr(cli, "dice_probability", never)
+    # the handler imports dice_probability from counting when it runs
+    monkeypatch.setattr(counting, "dice_probability", never)
     code, out, err = run(
         capsys, "dice", "--dice", "2000", "--sum", "7000", "--digits", "0"
     )

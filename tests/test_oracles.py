@@ -105,24 +105,88 @@ def test_budget_guards():
     assert oracle_omega(SpinMultiset.from_entries({1: 10})).total == 1024
 
 
-def test_budget_message_past_the_int_digit_cap():
-    # 3^20000 has 9,543 digits, past CPython's default int/str cap, which
-    # the library leaves in force; the overrun must still be a
-    # BudgetExceededError carrying the whole count
+def test_restricted_partitions_walk_charges_each_node_once():
+    def nodes(remaining, cap, slots):
+        # the nodes of the walk, counted by recursion
+        if remaining == 0 or slots == 0 or cap == 0:
+            return 1
+        return 1 + sum(nodes(remaining - value, value, slots - 1)
+                       for value in range(min(cap, remaining), 0, -1))
+
+    for n in range(0, 5):
+        for m in range(0, 4):
+            for k in range(1, 8):
+                need = nodes(k, n, m)
+                assert oracle_restricted_partitions(
+                    n, m, k, EnumerationBudget(need)) == restricted_partitions(n, m, k)
+                with pytest.raises(BudgetExceededError):
+                    oracle_restricted_partitions(n, m, k, EnumerationBudget(need - 1))
+
+
+def test_restricted_partitions_walk_deeper_than_the_recursion_limit():
+    # 3000 ones: a chain of 3,001 nodes, deeper than CPython's default
+    # recursion limit of 1000
+    assert sys.getrecursionlimit() < 3001
+    assert oracle_restricted_partitions(1, 3000, 3000, EnumerationBudget(3001)) == 1
+    with pytest.raises(BudgetExceededError) as caught:
+        oracle_restricted_partitions(1, 3000, 3000, EnumerationBudget(3000))
+    assert str(caught.value) == (
+        "oracle_restricted_partitions(1, 3000, 3000) passed 3000 enumeration steps")
+
+
+@pytest.fixture
+def default_digit_cap():
+    # CPython's default int/str digit cap, which the library leaves in force
     cap = getattr(sys, "get_int_max_str_digits", None)
-    if cap is not None:
-        previous = cap()
-        sys.set_int_max_str_digits(4300)
+    if cap is None:
+        yield
+        return
+    previous = cap()
+    sys.set_int_max_str_digits(4300)
     try:
-        with pytest.raises(BudgetExceededError) as caught:
-            oracle_omega(parse_spins("1^20000"), budget=TIGHT)
+        yield
     finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(previous)
+        sys.set_int_max_str_digits(previous)
+
+
+def test_budget_message_past_the_int_digit_cap(default_digit_cap):
+    # 3^20000 has 9,543 digits, past the cap; the overrun must still be a
+    # BudgetExceededError carrying the whole count
+    with pytest.raises(BudgetExceededError) as caught:
+        oracle_omega(parse_spins("1^20000"), budget=TIGHT)
     head, tail = "oracle_omega(1^20000) needs ", " states, over the budget of 10"
     message = str(caught.value)
     assert message.startswith(head + "2661303427") and message.endswith("0001" + tail)
     assert len(message) == len(head) + 9543 + len(tail)
+
+
+def test_budget_messages_name_each_call_in_full(default_digit_cap):
+    # a first argument of 5,001 digits, past the cap, is written out in full;
+    # small arguments keep the messages the CLI prints
+    big = "1" + "0" * 5000
+    cases = [
+        (lambda: oracle_sym(10**5000, 1),
+         f"oracle_sym(2j={big}, N=1) needs {big[:-1]}1 states, over the budget of 1000000"),
+        (lambda: oracle_antisym(10**5000, 1),
+         f"oracle_antisym(2j={big}, N=1) needs {big[:-1]}1 states, "
+         "over the budget of 1000000"),
+        (lambda: oracle_qbinom(10**5000, 1),
+         f"oracle_qbinom({big}, 1) needs {big} states, over the budget of 1000000"),
+        (lambda: oracle_restricted_partitions(10**5000, 2, 5, EnumerationBudget(1)),
+         f"oracle_restricted_partitions({big}, 2, 5) passed 1 enumeration steps"),
+        (lambda: oracle_sym(5, 9, budget=TIGHT),
+         "oracle_sym(2j=5, N=9) needs 2002 states, over the budget of 10"),
+        (lambda: oracle_antisym(40, 20, budget=TIGHT),
+         "oracle_antisym(2j=40, N=20) needs 269128937220 states, over the budget of 10"),
+        (lambda: oracle_qbinom(30, 15, budget=TIGHT),
+         "oracle_qbinom(30, 15) needs 155117520 states, over the budget of 10"),
+        (lambda: oracle_omega(parse_spins("1/2,3^2"), budget=TIGHT),
+         "oracle_omega(1/2,3^2) needs 98 states, over the budget of 10"),
+    ]
+    for call, message in cases:
+        with pytest.raises(BudgetExceededError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_fast_paths_match_enumeration():

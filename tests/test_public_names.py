@@ -4,7 +4,9 @@ bench/layers.py wraps spincg functions by module and name, and bench/jobs.py
 calls spincg.<name> on the package, so a route moved or renamed without them
 would otherwise break only the benchmark.  The package exports exactly
 the __all__ of each production module; the cross-checks live in
-spincg.crosscheck, which no production module imports.
+spincg.crosscheck, which no production module imports.  The package loads
+its modules on demand, so fresh interpreters check what importing the
+parser, running a verb and a star import load and bind.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import spincg
@@ -24,6 +28,18 @@ LAYERS_FILE = BENCH / "layers.py"
 JOBS_FILE = BENCH / "jobs.py"
 PACKAGE = Path(spincg.__file__).resolve().parent
 PRODUCTION = ("counting", "decompose", "errors", "identical", "oracles", "qpoly", "spins")
+
+
+def _fresh(code: str) -> list[str]:
+    """Output lines of code run in a fresh interpreter that imports spincg from here.
+
+    -S keeps site hooks from importing modules before the code runs.
+    """
+    prelude = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+    result = subprocess.run([sys.executable, "-S", "-c", prelude + code],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
 
 
 def test_exported_and_benchmark_layer_names_resolve():
@@ -120,3 +136,40 @@ def test_no_private_argparse_attribute_in_src():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr in private]
     assert used == []
+
+
+def test_building_the_parser_loads_no_library_module():
+    loaded = _fresh(
+        "import spincg.cli; spincg.cli.build_parser()\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spincg'))\n"
+        "print(*[m for m in ('dataclasses', 'fractions', 'decimal', 'json')"
+        " if m in sys.modules])\n")
+    assert loaded == ["spincg spincg.cli spincg.errors", ""]
+
+
+def test_a_verb_loads_only_its_modules_and_decompose_stays_the_function():
+    # the import system binds spincg.decompose to the module cgd imports;
+    # the package keeps the function there
+    lines = _fresh(
+        "from spincg.cli import main\n"
+        "assert main(['cgd', '--spins', '1']) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('spincg.')))\n"
+        "import spincg\n"
+        "print(spincg.decompose is sys.modules['spincg.decompose'].decompose)\n")
+    assert lines[:3] == ["spins: 1", "total dimension: 3", "J = 1: 1"]
+    loaded = set(lines[3].split())
+    assert "spincg.decompose" in loaded
+    assert not loaded & {f"spincg.{m}" for m in
+                         ("identical", "counting", "oracles", "crosscheck", "hypergeom")}
+    assert lines[4:] == ["True"]
+
+
+def test_star_import_binds_the_package_all():
+    lines = _fresh(
+        "namespace = {}\n"
+        "exec('from spincg import *', namespace)\n"
+        "import spincg\n"
+        "print(len(spincg.__all__))\n"
+        "print(sorted(set(namespace) - {'__builtins__'}) == sorted(spincg.__all__))\n"
+        "print(all(namespace[n] is getattr(spincg, n) for n in spincg.__all__))\n")
+    assert lines == ["47", "True", "True"]
