@@ -155,6 +155,15 @@ FIXED = [
     # results past the int/str digit cap: C(199999, 2099) has about 7,000 digits
     ["compose", "--parts", "300000^2100", "--n", "200000"],
     ["cgd", "--spins", "1/2^400", "--format", "json"],
+    # one row per renderer that writes more than 640 digits, the smallest
+    # cap CPython accepts: test_cli_corpus reruns the corpus under that cap
+    ["cgd", "--spins", "1/2^2200"], ["cgd", "--spins", "1/2^2200", "--format", "json"],
+    ["omega", "--spins", "1/2^2200", "--n", "1100"], ["omega", "--spins", "1/2^2200"],
+    ["genfunc", "--spins", "1/2^2200"], ["genfunc", "--spins", "1/2^2200", "--lambda"],
+    ["dice", "--dice", "900", "--sum", "3150"],
+    ["dice", "--dice", "1", "--sum", "3", "--digits", "700"],
+    ["isotropic", "--dim", "2", "--rank", "2300"],
+    ["oracle", "--spins", "1^1400", "--budget", "10"],
 ]
 
 
