@@ -51,6 +51,10 @@ def _module(name: str) -> ModuleType:
     return import_module(f"{__package__}.{name}")
 
 
+def _decimal(n: int) -> str:
+    return _module("util").decimal_writer(n)(n)
+
+
 def _decomposition_text(
     table: DecompositionTable, spins: str, fmt: str, composition: str | None = None
 ) -> str:
@@ -65,8 +69,9 @@ def _decomposition_text(
     if not table:
         lines.append("no states (exclusion)")
     else:
-        lines.append(f"total dimension: {table.total_dimension}")
-        lines.extend(f"J = {spin_label(tj)}: {mult}" for tj, mult in table.entries)
+        write = _module("util").decimal_writer(table.total_dimension)
+        lines.append(f"total dimension: {write(table.total_dimension)}")
+        lines.extend(f"J = {spin_label(tj)}: {write(mult)}" for tj, mult in table.entries)
     return "\n".join(lines)
 
 
@@ -95,11 +100,12 @@ def _cmd_omega(args: argparse.Namespace) -> str:
     spins = _module("spins").parse_spins(args.spins)
     doc = {"spins": spins.canonical()}
     if args.n is not None:
-        text = str(_module("decompose")._omega_at(spins, args.n))
+        text = _decimal(_module("decompose")._omega_at(spins, args.n))
         doc.update(n=args.n, omega=text)
     else:
         table = _module("decompose").omega_genfunc(spins)
-        doc.update(twice_J0=table.twice_j0, omega=[str(v) for v in table.values])
+        write = _module("util").decimal_writer(spins.total_dimension)
+        doc.update(twice_J0=table.twice_j0, omega=list(map(write, table.values)))
         text = f"spins: {doc['spins']}\nomega: {' '.join(doc['omega'])}"
     if args.format == "json":
         import json
@@ -140,23 +146,21 @@ def _cmd_partitions(args: argparse.Namespace) -> str:
     if args.max_part < 0 or args.max_parts < 0:
         raise DomainError("--max-part and --max-parts must be >= 0")
     count = _module("qpoly").restricted_partitions(args.max_part, args.max_parts, args.k)
-    return str(count)
+    return _decimal(count)
 
 
 def _cmd_compose(args: argparse.Namespace) -> str:
     counting = _module("counting")
     spec = counting.parse_composition_spec(args.parts, args.allow_zero)
-    return str(counting.count_compositions(spec, args.n))
+    return _decimal(counting.count_compositions(spec, args.n))
 
 
 def _fraction_decimal(value: Fraction, digits: int) -> str:
-    # exact scaling with round half up; no floats
+    # exact scaling with round half up: floor(x + 1/2) of x = value * scale
     scale = 10**digits
-    scaled, remainder = divmod(value.numerator * scale, value.denominator)
-    if 2 * remainder >= value.denominator:
-        scaled += 1
+    scaled = (2 * value.numerator * scale + value.denominator) // (2 * value.denominator)
     whole, frac = divmod(scaled, scale)
-    return f"{whole}.{frac:0{digits}d}"
+    return f"{whole}.{_decimal(frac).zfill(digits)}"
 
 
 def _cmd_dice(args: argparse.Namespace) -> str:
@@ -165,9 +169,10 @@ def _cmd_dice(args: argparse.Namespace) -> str:
     if args.digits is not None and args.digits < 1:
         raise DomainError("--digits must be >= 1")
     prob = _module("counting").dice_probability(args.dice, args.sum)
+    text = "/".join(map(_decimal, prob.as_integer_ratio())).removesuffix("/1")  # as str(prob)
     if args.digits is None:
-        return str(prob)
-    return f"{prob} ≈ {_fraction_decimal(prob, args.digits)}"
+        return text
+    return f"{text} ≈ {_fraction_decimal(prob, args.digits)}"
 
 
 def _cmd_sequence(args: argparse.Namespace) -> str:
@@ -175,11 +180,12 @@ def _cmd_sequence(args: argparse.Namespace) -> str:
     if args.count < 0:
         raise DomainError("--count must be >= 0")
     term = getattr(_module("counting"), args.term)
-    return " ".join(str(term(v)) for v in range(args.count))
+    values = [term(v) for v in range(args.count)]
+    return " ".join(map(_module("util").decimal_writer(max(values, default=0)), values))
 
 
 def _cmd_isotropic(args: argparse.Namespace) -> str:
-    return str(_module("counting").isotropic_isomers(args.dim, args.rank))
+    return _decimal(_module("counting").isotropic_isomers(args.dim, args.rank))
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
@@ -351,18 +357,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one spincg command line; return its exit code (0, 2, 3 or 4).
 
     A plain argv is read from the verb table that builds the tree; the rest
-    goes to argparse.
-
-    Not thread-safe: for the length of the call it lifts the interpreter's
-    int/str digit cap, which is process-wide, so another thread converting
-    ints at the same time sees the lifted cap, and two overlapping calls can
-    leave it lifted.
+    goes to argparse.  The interpreter's int/str digit cap, which is
+    process-wide, stays as it is: handlers write every number through
+    spincg.util.decimal_writer, which has no limit.
     """
-    # Exact results can pass the interpreter's cap on int <-> str digits
-    # (4300 by default since Python 3.10.7 / 3.11); lift it for this call.
-    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
     try:
         args = _plain_args(argv) or _parser().parse_args(argv)
         print(args.handler(args), flush=True)
@@ -377,9 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
     return 0
 
 

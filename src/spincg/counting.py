@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .decompose import _omega_at, decompose
 from .errors import DomainError, SpinParseError
-from .spins import SpinMultiset
+from .spins import SpinMultiset, _integer
 
 __all__ = [
     "catalan",
@@ -118,8 +118,8 @@ def parse_composition_spec(text: str, zero_allowed: bool = False) -> Composition
         match = _PART_RE.match(token)
         if not match:
             raise SpinParseError(f"malformed part token {token!r}")
-        bound = int(match.group(1))
-        count = 1 if match.group(2) is None else int(match.group(2))
+        bound = _integer(match.group(1))
+        count = 1 if match.group(2) is None else _integer(match.group(2))
         if bound == 0:
             raise SpinParseError(f"part bound 0 is not allowed, got {token!r}")
         if count == 0:

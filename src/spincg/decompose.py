@@ -34,7 +34,7 @@ from operator import add, itemgetter, mul, sub
 from .errors import DomainError
 from .qpoly import IntPolynomial, _q_ratio_product
 from .spins import SpinMultiset, spin_label
-from .util import binom
+from .util import binom, decimal_writer
 
 __all__ = [
     "OmegaTable",
@@ -140,9 +140,10 @@ class DecompositionTable:
             doc["composition"] = composition
         doc["twice_J0"] = self.entries[0][0] if self.entries else None
         doc["twice_Jm"] = self.entries[-1][0] if self.entries else None
-        doc["total_dimension"] = str(self.total_dimension)
+        write = decimal_writer(self.total_dimension)  # bounds every multiplicity
+        doc["total_dimension"] = write(self.total_dimension)
         doc["terms"] = [
-            {"twice_J": tj, "J": spin_label(tj), "multiplicity": str(mult)}
+            {"twice_J": tj, "J": spin_label(tj), "multiplicity": write(mult)}
             for tj, mult in self.entries
         ]
         return doc

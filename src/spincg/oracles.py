@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from itertools import combinations, combinations_with_replacement
 
 from .decompose import OmegaTable
 from .errors import BudgetExceededError
 from .qpoly import IntPolynomial
 from .spins import SpinMultiset
+from .util import decimal_writer
 
 __all__ = [
     "EnumerationBudget",
@@ -44,21 +44,18 @@ class EnumerationBudget:
     max_states: int = DEFAULT_MAX_STATES
 
 
-def _digits(value):
-    # Decimal prints an int's digits as str does, without the int/str digit cap
-    return Decimal(value) if isinstance(value, int) else value
-
-
 def _require(budget: EnumerationBudget, states: int, call: str, *args) -> None:
     """Raise BudgetExceededError when states is over the budget.
 
     call.format(*args) names the oracle call in the message, which is built
-    only then.
+    only then.  Past the budget, states is no smaller than any int argument.
     """
     if states > budget.max_states:
+        write = decimal_writer(states)
+        args = (write(v) if isinstance(v, int) else v for v in args)
         raise BudgetExceededError(
-            f"{call.format(*map(_digits, args))} needs {_digits(states)} states, "
-            f"over the budget of {_digits(budget.max_states)}"
+            f"{call.format(*args)} needs {write(states)} states, "
+            f"over the budget of {write(budget.max_states)}"
         )
 
 
@@ -176,9 +173,10 @@ def oracle_restricted_partitions(
             continue
         visited += 1
         if visited > budget.max_states:
+            numbers = n, m, k, budget.max_states
             raise BudgetExceededError(
                 "oracle_restricted_partitions({}, {}, {}) passed {} enumeration steps"
-                .format(*map(_digits, (n, m, k, budget.max_states)))
+                .format(*map(decimal_writer(max(map(abs, numbers))), numbers))
             )
         remaining, cap, slots = node
         if remaining == 0:

@@ -29,6 +29,7 @@ from math import comb
 from operator import sub
 
 from .errors import DomainError
+from .util import decimal_writer
 
 __all__ = [
     "IntPolynomial",
@@ -159,26 +160,22 @@ class IntPolynomial:
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients as decimal strings, for JSON output."""
-        return [str(c) for c in self.coeffs]
+        return list(map(decimal_writer(max(map(abs, self.coeffs), default=0)), self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         pieces: list[str] = []
+        write = decimal_writer(max(map(abs, self.coeffs)))
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = "q" if mag == 1 else f"{mag} q"
-            else:
-                body = f"q^{k}" if mag == 1 else f"{mag} q^{k}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            body = mag = write(abs(c))
+            if k:
+                power = "q" if k == 1 else f"q^{k}"
+                body = power if mag == "1" else f"{mag} {power}"
+            sign = ("+ " if c > 0 else "- ") if pieces else ("" if c > 0 else "-")
+            pieces.append(sign + body)
         return " ".join(pieces)
 
 

@@ -45,8 +45,15 @@ def parse_spin_token(token: str) -> int:
     return _token_twice_spin(cleaned, match.group(1), match.group(2))
 
 
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int/str digit cap
+        raise SpinParseError(f"a {len(digits)}-digit number is too long to read") from None
+
+
 def _token_twice_spin(token: str, numerator: str, denominator: str | None) -> int:
-    value = int(numerator)
+    value = _integer(numerator)
     if denominator is not None:
         if denominator != "2":
             raise SpinParseError(
@@ -80,7 +87,7 @@ def parse_spins(text: str) -> "SpinMultiset":
         if not match:
             raise SpinParseError(f"malformed spin token {token!r}")
         twice = _token_twice_spin(token, match.group(1), match.group(2))
-        mult = 1 if match.group(3) is None else int(match.group(3))
+        mult = 1 if match.group(3) is None else _integer(match.group(3))
         if mult == 0:
             raise SpinParseError(f"zero multiplicity in token {token!r}")
         entries[twice] = entries.get(twice, 0) + mult

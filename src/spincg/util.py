@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 
 def heaviside(x: int) -> int:
@@ -29,3 +30,14 @@ def binom(n: int, k: int) -> int:
     if n < k:
         return 0
     return math.comb(n, k)
+
+
+def decimal_writer(bound: int) -> Callable[[int], str]:
+    """The writer of ints up to bound in magnitude as decimal text: str, or past
+    the interpreter's int/str digit cap, str of an exact, uncapped Decimal."""
+    try:
+        str(bound)
+    except ValueError:
+        from decimal import Decimal
+        return lambda n: str(Decimal(n))
+    return str

@@ -5,6 +5,8 @@ the full multiplicity distribution by iterated two-spin coupling (the
 textbook |j1 - j2| .. j1 + j2 ladder), never touching the package's
 generating-function, binomial, or composition machinery.
 
+digit_cap sets the interpreter's int/str digit cap for one test.
+
 Hypothesis runs under one profile: derandomized, with no example
 database, so two runs draw the same examples.  Its home directory is a
 temporary one for the session, so no .hypothesis/ directory is left behind.
@@ -13,8 +15,10 @@ temporary one for the session, so no .hypothesis/ directory is left behind.
 from __future__ import annotations
 
 import random
+import sys
 import tempfile
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -31,6 +35,18 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory()
     set_hypothesis_home_dir(home.name)
     config.add_cleanup(home.cleanup)
+
+
+@pytest.fixture
+def digit_cap():
+    """sys.set_int_max_str_digits, with the cap in force before the test put
+    back after it; the test is skipped on an interpreter without the cap."""
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    if get_cap is None:
+        pytest.skip("this interpreter has no int/str digit cap")
+    previous = get_cap()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(previous)
 
 
 def fold_pairwise(spins: SpinMultiset) -> dict[int, int]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from spincg import cli, counting
+from spincg import cli, counting, qpoly
 from spincg.cli import main
 
 
@@ -169,6 +169,48 @@ def test_dice_digits_checked_before_the_probability(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: --digits must be >= 1\n")
     code, _, err = run(capsys, "dice", "--dice", "0", "--sum", "1", "--digits", "0")
     assert (code, err) == (3, "error: --dice must be >= 1\n")
+
+
+def test_main_leaves_the_int_digit_cap_alone(capsys, monkeypatch):
+    # the cap is process-wide; main neither reads nor sets it, and no module
+    # of the package names it
+    def forbidden(*args):
+        raise AssertionError("the int/str digit cap was touched")
+
+    for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+        monkeypatch.setattr(sys, name, forbidden, raising=False)
+    for argv, code in ((["compose", "--parts", "300000^2100", "--n", "200000"], 0),
+                       (["cgd", "--spins", "1/2^400", "--format", "json"], 0),
+                       (["dice", "--dice", "2", "--sum", "7", "--digits", "3"], 0),
+                       (["cgd", "--spins", "0"], 2), (["qbinom", "--a", "x"], 2)):
+        assert run(capsys, *argv)[0] == code
+    package = Path(cli.__file__).parent
+    assert not [p.name for p in package.glob("*.py") if "int_max_str" in p.read_text()]
+
+
+def test_numbers_past_the_int_digit_cap_are_usage_errors(capsys, digit_cap):
+    digit_cap(4300)
+    nines = "9" * 5000
+    for argv in (["cgd", "--spins", f"1^{nines}"], ["sym", "--j", nines, "--num", "2"],
+                 ["compose", "--parts", f"{nines}^2", "--n", "3"],
+                 ["oracle", "--spins", nines]):
+        assert run(capsys, *argv) == (
+            2, "", "error: a 5000-digit number is too long to read\n")
+    # an over-cap value of an int option is argparse's usage error
+    code, out, err = run(capsys, "omega", "--spins", "1", "--n", nines)
+    assert (code, out) == (2, "") and "argument --n: invalid int value" in err
+
+
+def test_sequences_and_partitions_write_past_the_int_digit_cap(capsys, monkeypatch,
+                                                               digit_cap):
+    # no verb of these reaches 640 digits cheaply, so the counts are stood in for
+    monkeypatch.setattr(counting, "catalan", lambda v: 10**700 + v)
+    monkeypatch.setattr(qpoly, "restricted_partitions", lambda n, m, k: -(10**700))
+    digit_cap(640)  # the smallest cap CPython accepts
+    _, out, _ = run(capsys, "catalan", "--count", "2")
+    _, out2, _ = run(capsys, "partitions", "--max-part", "1", "--max-parts", "1", "--k", "1")
+    big = "1" + "0" * 700
+    assert (out, out2) == (f"{big} {big[:-1]}1\n", f"-{big}\n")
 
 
 def test_results_past_the_int_digit_cap_print_in_full(capsys):

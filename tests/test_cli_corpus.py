@@ -32,6 +32,17 @@ def _mismatch(row: dict, code: int, out: str, err: str) -> str | None:
 
 
 def test_cli_corpus(monkeypatch):
+    _check_corpus(monkeypatch)
+
+
+def test_cli_corpus_under_the_smallest_digit_cap(monkeypatch, digit_cap):
+    # 640 digits, the smallest int/str cap CPython accepts: the rows that
+    # write longer numbers must not change
+    digit_cap(640)
+    _check_corpus(monkeypatch)
+
+
+def _check_corpus(monkeypatch) -> None:
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
     header, *rows = map(json.loads, CORPUS.read_text().splitlines())
     assert len(rows) > 900 and {row["exit"] for row in rows} == {0, 2, 3, 4}

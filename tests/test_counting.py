@@ -84,6 +84,14 @@ def test_parse_composition_spec():
         parse_composition_spec("2,x")
 
 
+def test_composition_numbers_past_the_int_digit_cap_are_parse_errors(digit_cap):
+    digit_cap(4300)
+    for text in ("9" * 5000, "2^" + "9" * 5000):
+        with pytest.raises(SpinParseError) as caught:
+            parse_composition_spec(text)
+        assert str(caught.value) == "a 5000-digit number is too long to read"
+
+
 def test_count_compositions_brute():
     # every bounded-composition count must match direct enumeration
     cases = [

@@ -87,6 +87,24 @@ def test_decomposition_table_type():
         DecompositionTable(((4, 0),))
 
 
+def test_renderers_write_past_the_int_digit_cap(digit_cap):
+    # the multiplicities, Omega_n and the lambda coefficients of 1/2^2200
+    # reach 659 to 663 digits, past 640, the smallest cap CPython accepts
+    spins = parse_spins("1/2^2200")
+    table, omega, lam = decompose(spins), omega_genfunc(spins).to_polynomial(), lambda_genfunc(spins)
+
+    def rendered():
+        return (table.to_json_dict("1/2^2200"), str(omega), omega.coefficient_strings(),
+                str(lam), lam.coefficient_strings())
+
+    digit_cap(0)  # no cap: str writes every digit
+    expected = rendered()
+    assert len(expected[0]["total_dimension"]) == 663
+    assert max(map(len, expected[4])) > 650 and min(lam.coeffs) < 0
+    digit_cap(640)
+    assert rendered() == expected
+
+
 def test_worked_example_omega():
     assert omega_genfunc(WORKED).values == WORKED_OMEGA
     assert omega_binomial(WORKED, 4) == 61

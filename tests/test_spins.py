@@ -59,6 +59,18 @@ def test_parse_spin_token():
         parse_spin_token("0")
 
 
+def test_numbers_past_the_int_digit_cap_are_parse_errors(digit_cap):
+    # a one-line message with the digit count, not the 5,000-digit token
+    digit_cap(4300)
+    nines = "9" * 5000
+    for parse, text in ((parse_spins, f"1^{nines}"), (parse_spins, nines),
+                        (parse_spins, f"{nines}/2"), (parse_spin_token, nines)):
+        with pytest.raises(SpinParseError) as caught:
+            parse(text)
+        assert str(caught.value) == "a 5000-digit number is too long to read"
+    assert parse_spins("1^" + "9" * 4300).entries == ((2, int("9" * 4300)),)
+
+
 def test_spin_label():
     assert spin_label(10) == "5"
     assert spin_label(9) == "9/2"
