@@ -10,9 +10,10 @@ The paper's other routes, hypergeometric and univariate forms included,
 are cross-checks and live in spincg.crosscheck.
 
 The package exports exactly each production module's __all__.  Importing
-it loads no module: the first lookup of a name on the package loads the
-whole library at once (PEP 562), so spincg.cli and each of its verbs load
-only the modules they use.
+it loads no module: the first lookup of an exported name on the package
+loads the whole library at once (PEP 562).  The other submodules (cli,
+crosscheck, hypergeom, util) load alone, so spincg.cli, in either import
+form, and each of its verbs load only the modules they use.
 """
 
 import sys
@@ -23,6 +24,7 @@ __version__ = "0.1.0"
 _PRODUCTION = (
     "counting", "decompose", "errors", "identical", "oracles", "qpoly", "spins",
 )
+_INTERNAL = ("cli", "crosscheck", "hypergeom", "util")
 
 
 def _library() -> dict:
@@ -50,10 +52,10 @@ def _library() -> dict:
 
 
 def __getattr__(name: str):
-    try:
+    # from spincg import cli looks the name up before it imports the submodule
+    if name not in _INTERNAL and name in _library():
         return _library()[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

@@ -48,7 +48,7 @@ def q_factorial(n: int) -> IntPolynomial:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     if n < 0:
         raise DomainError("q_factorial needs n >= 0")
-    result = IntPolynomial.one()
+    result = IntPolynomial((1,))
     for i in range(2, n + 1):
         result = result * q_analogue(i)
     return result
@@ -64,8 +64,29 @@ def q_binomial_by_division(a: int, b: int) -> IntPolynomial:
     if a < 0:
         raise DomainError("q_binomial_by_division needs a >= 0")
     if b < 0 or b > a:
-        return IntPolynomial.zero()
-    return q_factorial(a).exact_div(q_factorial(b) * q_factorial(a - b))
+        return IntPolynomial()
+    return _exact_div(q_factorial(a), q_factorial(b) * q_factorial(a - b))
+
+
+def _exact_div(num: IntPolynomial, divisor: IntPolynomial) -> IntPolynomial:
+    """Exact polynomial division; raises ArithmeticError on remainder."""
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(num.coeffs)
+    lead = divisor.coeffs[-1]
+    dlen = len(divisor.coeffs)
+    quot = [0] * (len(rem) - dlen + 1)
+    for i in reversed(range(len(quot))):
+        c = rem[i + dlen - 1]
+        if c % lead != 0:
+            raise ArithmeticError("polynomial division leaves a remainder")
+        quot[i] = c // lead
+        if quot[i]:
+            for k, d in enumerate(divisor.coeffs):
+                rem[i + k] -= quot[i] * d
+    if any(rem):
+        raise ArithmeticError("polynomial division leaves a remainder")
+    return IntPolynomial(tuple(quot))
 
 
 def q_binomial_convolution(a: int, b: int) -> IntPolynomial:
@@ -79,17 +100,21 @@ def q_binomial_convolution(a: int, b: int) -> IntPolynomial:
         raise DomainError("q_binomial_convolution needs a >= b >= 0")
 
     @lru_cache(maxsize=None)
-    def tail(depth: int, cap: int) -> IntPolynomial:
-        # 1 + sum_{m=1..cap} q^m * tail(depth-1, m); the nested-sum
-        # expansion of a Gaussian binomial, one summation sign per level.
+    def tail(depth: int, cap: int) -> tuple[int, ...]:
+        # Coefficients of 1 + sum_{m=1..cap} q^m * tail(depth-1, m); the
+        # nested-sum expansion of a Gaussian binomial, one summation sign
+        # per level.
         if depth == 0:
-            return IntPolynomial.one()
-        total = IntPolynomial.one()
+            return (1,)
+        total = [1]
         for m in range(1, cap + 1):
-            total = total + tail(depth - 1, m).shift(m)
-        return total
+            term = tail(depth - 1, m)
+            total += [0] * (m + len(term) - len(total))
+            for k, c in enumerate(term, m):
+                total[k] += c
+        return tuple(total)
 
-    return tail(b, a - b)
+    return IntPolynomial(tail(b, a - b))
 
 
 def phi(a: int, b: int, nu: int, k: int) -> int:

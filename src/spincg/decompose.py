@@ -384,11 +384,6 @@ def lambda_genfunc(spins: SpinMultiset) -> IntPolynomial:
     return IntPolynomial(tuple(map(sub, values + (0,), (0,) + values)))
 
 
-def _multiplicity_steps(spins: SpinMultiset) -> int:
-    # m: number of unit steps from J_0 down to J_m.
-    return (spins.twice_j0 - spins.twice_jmin) // 2
-
-
 def lambda_binomial(spins: SpinMultiset, kappa: int) -> int:
     """Single multiplicity lambda_kappa by the direct alternating sum.
 
@@ -405,7 +400,7 @@ def lambda_binomial(spins: SpinMultiset, kappa: int) -> int:
             "lambda_binomial needs at least two spins; "
             "use lambda_from_omega for a single spin"
         )
-    if kappa < 0 or kappa > _multiplicity_steps(spins):
+    if kappa < 0 or kappa >= spins.distinct_j_count:
         raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
     return _alternating_sum(spins.entries, num - 2, kappa)
 
@@ -424,7 +419,7 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
     """
     twice_j0 = spins.twice_j0
     if method == "binomial" and spins.num_spins >= 2:
-        lams = _alternating_table(spins.entries, spins.num_spins - 2, _multiplicity_steps(spins))
+        lams = _alternating_table(spins.entries, spins.num_spins - 2, spins.distinct_j_count - 1)
         table = DecompositionTable(tuple(zip(range(twice_j0, -1, -2), lams)))
     elif method == "composition":
         table = difference_decomposition(_composition_counts(spins, twice_j0 // 2), twice_j0)

@@ -91,8 +91,9 @@ def antisym_genfunc(system: IdenticalSystem) -> IntPolynomial:
     (no antisymmetric states exist).
     """
     if system.count > system.twice_j + 1:
-        return IntPolynomial.zero()
-    return q_binomial(system.twice_j + 1, system.count).shift(system.exclusion_shift)
+        return IntPolynomial()
+    head = (0,) * system.exclusion_shift
+    return IntPolynomial(head + q_binomial(system.twice_j + 1, system.count).coeffs)
 
 
 def antisym_omega(system: IdenticalSystem, n: int) -> int:

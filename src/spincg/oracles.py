@@ -134,7 +134,7 @@ def oracle_qbinom(
     [a choose b]_q = sum over b-subsets S of {1..a} of q^(sum(S) - b(b+1)/2).
     """
     if b < 0 or b > a:
-        return IntPolynomial.zero()
+        return IntPolynomial()
     states = math.comb(a, b)
     _require(budget, states, "oracle_qbinom({}, {})", a, b)
     shift = b * (b + 1) // 2

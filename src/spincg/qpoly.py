@@ -1,8 +1,9 @@
 """Integer q-polynomials, Gaussian binomials, and restricted partitions.
 
-* IntPolynomial, a dense polynomial in q with int coefficients; the
-  q-analogue [n]_q = 1 + q + ... + q^(n-1) of a spin dimension is the
-  building block of every generating function here.
+* IntPolynomial, a dense polynomial in q with int coefficients, as a value:
+  coefficients, degree, indexing and rendering.  The q-analogue [n]_q =
+  1 + q + ... + q^(n-1) of a spin dimension is the building block of every
+  generating function here.
 * Gaussian binomials [a choose b]_q, the generating functions of symmetric
   and antisymmetric spin compositions.  Their coefficients are the
   restricted partition counts p(n, m, k): partitions of k into at most m
@@ -14,8 +15,9 @@ truncated at the highest coefficient asked for.  It packs the product into
 one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
 _q_ratio_product on a list; q_binomial mirrors its palindromic lower half.
-decompose also uses _q_ratio_product for Omega tables.  The other routes
-(IntPolynomial products, and those in spincg.crosscheck) are cross-checks.
+decompose also uses _q_ratio_product for Omega tables.  No production
+route multiplies IntPolynomials: their schoolbook product serves only the
+cross-checks in spincg.crosscheck, which hold the other routes.
 
 No floats anywhere; coefficients and counts are Python ints.
 """
@@ -42,11 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Dense polynomial in q over the integers.
+    """Dense polynomial in q over the integers, a value.
 
     coeffs[k] is the coefficient of q^k; trailing zeros are stripped on
     construction so equal polynomials compare equal.  The zero polynomial
-    has an empty coefficient tuple and degree -1.
+    has an empty coefficient tuple and degree -1.  The one product, __mul__,
+    serves the cross-checks.
     """
 
     coeffs: tuple[int, ...] = ()
@@ -58,14 +61,6 @@ class IntPolynomial:
             while end > 0 and coeffs[end - 1] == 0:
                 end -= 1
             object.__setattr__(self, "coeffs", coeffs[:end])
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
 
     @property
     def degree(self) -> int:
@@ -79,24 +74,9 @@ class IntPolynomial:
             return self.coeffs[k]
         return 0
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        # Schoolbook convolution; polynomial sizes here are set by 2*J_0,
-        # which stays at desk scale.
+        # Schoolbook convolution, for spincg.crosscheck; its sizes there
+        # stay at desk scale.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
@@ -107,56 +87,6 @@ class IntPolynomial:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
-
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("polynomial powers must be >= 0")
-        result = IntPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def shift(self, power: int) -> "IntPolynomial":
-        """Multiply by q^power."""
-        if power < 0:
-            raise ValueError("shift must be >= 0")
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * power + self.coeffs)
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Exact polynomial division; raises ArithmeticError on remainder."""
-        if not divisor:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = divisor.coeffs[-1]
-        dlen = len(divisor.coeffs)
-        qlen = len(rem) - dlen + 1
-        if qlen <= 0:
-            if any(rem):
-                raise ArithmeticError("polynomial division leaves a remainder")
-            return IntPolynomial()
-        quot = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + dlen - 1]
-            if c % lead != 0:
-                raise ArithmeticError("polynomial division leaves a remainder")
-            quot[i] = c // lead
-            if quot[i]:
-                for k, d in enumerate(divisor.coeffs):
-                    rem[i + k] -= quot[i] * d
-        if any(rem):
-            raise ArithmeticError("polynomial division leaves a remainder")
-        return IntPolynomial(tuple(quot))
-
-    def eval_one(self) -> int:
-        """Value at q = 1, i.e. the coefficient sum."""
-        return sum(self.coeffs)
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients as decimal strings, for JSON output."""
@@ -267,7 +197,7 @@ def q_binomial(a: int, b: int) -> IntPolynomial:
     if a < 0:
         raise DomainError("q_binomial needs a >= 0")
     if b < 0 or b > a:
-        return IntPolynomial.zero()
+        return IntPolynomial()
     degree = b * (a - b)
     head = _gaussian_coefficients(a, b, degree // 2)
     return IntPolynomial(tuple(head + head[: (degree + 1) // 2][::-1]))

@@ -174,7 +174,7 @@ def test_criterion_07_q_binomial_triple_agreement():
                 peak = len(coeffs) // 2
                 rising = list(coeffs[: peak + 1])
                 assert rising == sorted(rising)
-                assert poly.eval_one() == binom(a, b)
+                assert sum(coeffs) == binom(a, b)
 
     _criterion(7, "q-binomial routes agree, reciprocal and unimodal", 10.0, body)
 

@@ -11,7 +11,7 @@ import difflib
 import json
 import sys
 
-from make_cli_corpus import CORPUS, run, sha256
+from make_cli_corpus import CORPUS, argv_rows, run, sha256
 
 
 def _mismatch(row: dict, code: int, out: str, err: str) -> str | None:
@@ -29,6 +29,12 @@ def _mismatch(row: dict, code: int, out: str, err: str) -> str | None:
         else:
             problems.append(f"{name} differs ({len(text)} characters)")
     return "; ".join(problems) or None
+
+
+def test_corpus_rows_are_the_generator_rows():
+    # a corpus written by a drifted generator, or edited by hand, fails here
+    _, *rows = map(json.loads, CORPUS.read_text().splitlines())
+    assert [row["argv"] for row in rows] == argv_rows()
 
 
 def test_cli_corpus(monkeypatch):

@@ -60,6 +60,8 @@ def test_package_all_is_the_production_modules_all():
     # a new module must be exported here or named as internal below
     modules = {info.name for info in pkgutil.iter_modules(spincg.__path__)}
     assert modules == {*PRODUCTION, "cli", "crosscheck", "hypergeom", "util"}
+    # the package's own split, which keeps an internal name from loading the library
+    assert sorted(spincg._PRODUCTION + spincg._INTERNAL) == sorted(modules)
     owner = {}
     for module_name in PRODUCTION:
         module = importlib.import_module(f"spincg.{module_name}")
@@ -139,12 +141,15 @@ def test_no_private_argparse_attribute_in_src():
 
 
 def test_building_the_parser_loads_no_library_module():
-    loaded = _fresh(
-        "import spincg.cli; spincg.cli.build_parser()\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spincg'))\n"
-        "print(*[m for m in ('dataclasses', 'fractions', 'decimal', 'json')"
-        " if m in sys.modules])\n")
-    assert loaded == ["spincg spincg.cli spincg.errors", ""]
+    # from spincg import cli asks the package for cli before it imports it
+    for code in ("import spincg.cli; spincg.cli.build_parser()",
+                 "from spincg import cli; cli.build_parser()"):
+        loaded = _fresh(
+            f"{code}\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spincg'))\n"
+            "print(*[m for m in ('dataclasses', 'fractions', 'decimal', 'json')"
+            " if m in sys.modules])\n")
+        assert loaded == ["spincg spincg.cli spincg.errors", ""], code
 
 
 def test_a_verb_loads_only_its_modules_and_decompose_stays_the_function():

@@ -18,6 +18,7 @@ from spincg import (
     restricted_partitions,
 )
 from spincg.crosscheck import (
+    _exact_div,
     phi,
     phi2_closed,
     q_binomial_by_division,
@@ -35,35 +36,29 @@ from spincg.util import binom
 def test_polynomial_normalization():
     assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
     assert IntPolynomial((0, 0)).coeffs == ()
-    assert not IntPolynomial.zero()
-    assert IntPolynomial.zero().degree == -1
+    assert not IntPolynomial()
+    assert IntPolynomial().degree == -1
 
 
 def test_polynomial_arithmetic():
     two = IntPolynomial((1, 1))  # 1 + q
     assert (two * two).coeffs == (1, 2, 1)
-    assert (two + two).coeffs == (2, 2)
-    assert (two - two).coeffs == ()
-    assert (two**0).coeffs == (1,)
-    assert (two**3).coeffs == (1, 3, 3, 1)
-    assert two.shift(2).coeffs == (0, 0, 1, 1)
     assert two[0] == 1 and two[5] == 0
-    assert two.eval_one() == 2
-    zero = IntPolynomial.zero()
+    zero = IntPolynomial()
     assert (two * zero) == zero
 
 
 def test_polynomial_exact_division():
     num = IntPolynomial((1, 1)) * IntPolynomial((1, 0, 1))
-    assert num.exact_div(IntPolynomial((1, 1))).coeffs == (1, 0, 1)
+    assert _exact_div(num, IntPolynomial((1, 1))).coeffs == (1, 0, 1)
     with pytest.raises(ArithmeticError):
-        IntPolynomial((1, 1, 1)).exact_div(IntPolynomial((1, 1)))
+        _exact_div(IntPolynomial((1, 1, 1)), IntPolynomial((1, 1)))
     with pytest.raises(ZeroDivisionError):
-        IntPolynomial((1,)).exact_div(IntPolynomial.zero())
+        _exact_div(IntPolynomial((1,)), IntPolynomial())
 
 
 def test_polynomial_rendering():
-    assert str(IntPolynomial.zero()) == "0"
+    assert str(IntPolynomial()) == "0"
     assert str(IntPolynomial((1,))) == "1"
     assert str(IntPolynomial((1, 1, 2))) == "1 + q + 2 q^2"
     assert str(IntPolynomial((1, 0, -1))) == "1 - q^2"
@@ -87,7 +82,7 @@ def test_q_factorial():
     assert q_factorial(0).coeffs == (1,)
     assert q_factorial(2).coeffs == (1, 1)
     assert q_factorial(3).coeffs == (1, 2, 2, 1)
-    assert q_factorial(5).eval_one() == math.factorial(5)
+    assert sum(q_factorial(5).coeffs) == math.factorial(5)
 
 
 # ------------------------------------------------------------ Gaussian binomials
@@ -153,7 +148,7 @@ def test_q_binomial_row_structure(a):
         assert rising == sorted(rising)
         assert falling == sorted(falling, reverse=True)
         # value at q = 1
-        assert poly.eval_one() == math.comb(a, b)
+        assert sum(coeffs) == math.comb(a, b)
 
 
 def test_q_to_one_binomial_sum_identities():

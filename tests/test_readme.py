@@ -1,0 +1,27 @@
+"""The README's >>> examples, each fenced python block doctested on its own.
+
+python -m doctest README.md reads the closing fence after an example as part
+of its expected output, so the blocks are cut out of the file first.
+"""
+
+from __future__ import annotations
+
+import doctest
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 3
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    report: list[str] = []
+    failed = tried = 0
+    for number, block in enumerate(blocks, 1):
+        test = parser.get_doctest(block, {}, f"README.md python block {number}", str(README), 0)
+        result = runner.run(test, out=report.append)
+        failed += result.failed
+        tried += result.attempted
+    assert (failed, tried) == (0, 10), "".join(report)
