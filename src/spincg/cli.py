@@ -192,7 +192,6 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
     if args.budget < 1:
         raise DomainError("--budget must be >= 1")
     oracles, decompose = _module("oracles"), _module("decompose")
-    budget = oracles.EnumerationBudget(args.budget)
     if args.spins is not None:
         if args.composition not in (None, "full"):
             raise SpinParseError("--spins fixes the composition to full")
@@ -208,11 +207,11 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
         spins = system.as_multiset()
         composition = args.composition
     if composition == "full":
-        table = decompose.lambda_from_omega(oracles.oracle_omega(spins, budget))
+        table = decompose.lambda_from_omega(oracles.oracle_omega(spins, args.budget))
     else:
         symmetric = composition == "symmetric"
         oracle = oracles.oracle_sym if symmetric else oracles.oracle_antisym
-        omega = oracle(system.twice_j, system.count, budget)
+        omega = oracle(system.twice_j, system.count, args.budget)
         table = decompose.difference_decomposition(omega.values, spins.twice_j0)
     return _decomposition_text(table, spins.canonical(), args.format, composition)
 

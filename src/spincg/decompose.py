@@ -58,17 +58,16 @@ METHODS = ("genfunc", "binomial", "composition")
 class OmegaTable:
     """Subspace dimensions Omega_n for n = 0 .. twice_j0.
 
-    values[n] is the dimension of the z-projection subspace at n; the span
-    twice_j0 equals len(values) - 1 (and -1 for an empty table, which the
-    antisymmetric oracle produces under Pauli exclusion).
+    values[n] is the dimension of the z-projection subspace at n.  The span
+    twice_j0 is len(values) - 1, so -1 for the empty table the
+    antisymmetric oracle gives under Pauli exclusion.
     """
 
     values: tuple[int, ...]
-    twice_j0: int
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.twice_j0 + 1:
-            raise ValueError("omega table span does not match its values")
+    @property
+    def twice_j0(self) -> int:
+        return len(self.values) - 1
 
     def omega(self, n: int) -> int:
         if 0 <= n <= self.twice_j0:
@@ -171,7 +170,7 @@ def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
         head = list(_omega_coefficients(spins.entries, half))
     else:
         head = _q_ratio_product([(tj + 1, 1) for tj in spins.twice_spins], half)
-    return OmegaTable(tuple(head + head[: span - half][::-1]), span)
+    return OmegaTable(tuple(head + head[: span - half][::-1]))
 
 
 def _omega_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Iterator[int]:
@@ -331,7 +330,7 @@ def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
         values = _composition_counts(spins, span)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return OmegaTable(tuple(values), span)
+    return OmegaTable(tuple(values))
 
 
 def lambda_from_omega(table: OmegaTable) -> DecompositionTable:

@@ -7,15 +7,15 @@ walking product states with a mixed-radix counter, or by enumerating
 combinations and subsets, and histogramming sums.  That independence is the
 point; an oracle that shared code with the fast path would prove nothing.
 
-Enumeration size is guarded by an EnumerationBudget (default one million
-states) and overruns raise BudgetExceededError before any work starts where
-the count is known up front.
+Each oracle takes budget, the most states it may enumerate (default
+DEFAULT_MAX_STATES, one million), and raises BudgetExceededError past it:
+before any work starts where the count is known up front, and as the walk
+passes it where it is not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .decompose import OmegaTable
@@ -25,7 +25,6 @@ from .spins import SpinMultiset
 from .util import decimal_writer
 
 __all__ = [
-    "EnumerationBudget",
     "DEFAULT_MAX_STATES",
     "oracle_omega",
     "oracle_sym",
@@ -37,30 +36,26 @@ __all__ = [
 DEFAULT_MAX_STATES = 10**6
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on how many states an oracle may enumerate."""
-
-    max_states: int = DEFAULT_MAX_STATES
-
-
-def _require(budget: EnumerationBudget, states: int, call: str, *args) -> None:
+def _require(budget: int, states: int, call: str, *args) -> None:
     """Raise BudgetExceededError when states is over the budget.
 
     call.format(*args) names the oracle call in the message, which is built
-    only then.  Past the budget, states is no smaller than any int argument.
+    only then.  Its numbers are written for the largest magnitude among
+    states, the budget and the int arguments: with a budget below 1, an
+    argument can be far larger than the state count.
     """
-    if states > budget.max_states:
-        write = decimal_writer(states)
+    if states > budget:
+        numbers = [v for v in args if isinstance(v, int)] + [states, budget]
+        write = decimal_writer(max(map(abs, numbers)))
         args = (write(v) if isinstance(v, int) else v for v in args)
         raise BudgetExceededError(
             f"{call.format(*args)} needs {write(states)} states, "
-            f"over the budget of {write(budget.max_states)}"
+            f"over the budget of {write(budget)}"
         )
 
 
 def oracle_omega(
-    spins: SpinMultiset, budget: EnumerationBudget = EnumerationBudget()
+    spins: SpinMultiset, budget: int = DEFAULT_MAX_STATES
 ) -> OmegaTable:
     """Omega table by enumerating every product state.
 
@@ -70,8 +65,7 @@ def oracle_omega(
     """
     _require(budget, spins.total_dimension, "oracle_omega({})", spins)
     caps = spins.twice_spins
-    span = sum(caps)
-    counts = [0] * (span + 1)
+    counts = [0] * (sum(caps) + 1)
     digits = [0] * len(caps)
     total = 0
     counts[0] = 1
@@ -87,11 +81,11 @@ def oracle_omega(
         digits[i] += 1
         total += 1
         counts[total] += 1
-    return OmegaTable(tuple(counts), span)
+    return OmegaTable(tuple(counts))
 
 
 def oracle_sym(
-    twice_j: int, count: int, budget: EnumerationBudget = EnumerationBudget()
+    twice_j: int, count: int, budget: int = DEFAULT_MAX_STATES
 ) -> OmegaTable:
     """Symmetric-composition table by enumerating multisets of levels.
 
@@ -100,15 +94,14 @@ def oracle_sym(
     """
     states = math.comb(twice_j + count, count)
     _require(budget, states, "oracle_sym(2j={}, N={})", twice_j, count)
-    span = twice_j * count
-    counts = [0] * (span + 1)
+    counts = [0] * (twice_j * count + 1)
     for levels in combinations_with_replacement(range(twice_j + 1), count):
         counts[sum(levels)] += 1
-    return OmegaTable(tuple(counts), span)
+    return OmegaTable(tuple(counts))
 
 
 def oracle_antisym(
-    twice_j: int, count: int, budget: EnumerationBudget = EnumerationBudget()
+    twice_j: int, count: int, budget: int = DEFAULT_MAX_STATES
 ) -> OmegaTable:
     """Antisymmetric-composition table by enumerating level subsets.
 
@@ -116,18 +109,17 @@ def oracle_antisym(
     subsets and the table is empty (Pauli exclusion).
     """
     if count > twice_j + 1:
-        return OmegaTable((), -1)
+        return OmegaTable(())
     states = math.comb(twice_j + 1, count)
     _require(budget, states, "oracle_antisym(2j={}, N={})", twice_j, count)
-    span = sum(range(twice_j + 1 - count, twice_j + 1))
-    counts = [0] * (span + 1)
+    counts = [0] * (sum(range(twice_j + 1 - count, twice_j + 1)) + 1)
     for levels in combinations(range(twice_j + 1), count):
         counts[sum(levels)] += 1
-    return OmegaTable(tuple(counts), span)
+    return OmegaTable(tuple(counts))
 
 
 def oracle_qbinom(
-    a: int, b: int, budget: EnumerationBudget = EnumerationBudget()
+    a: int, b: int, budget: int = DEFAULT_MAX_STATES
 ) -> IntPolynomial:
     """Gaussian binomial by subset sums.
 
@@ -145,7 +137,7 @@ def oracle_qbinom(
 
 
 def oracle_restricted_partitions(
-    n: int, m: int, k: int, budget: EnumerationBudget = EnumerationBudget()
+    n: int, m: int, k: int, budget: int = DEFAULT_MAX_STATES
 ) -> int:
     """p(n, m, k) by listing the partitions themselves.
 
@@ -172,8 +164,8 @@ def oracle_restricted_partitions(
             frames.pop()
             continue
         visited += 1
-        if visited > budget.max_states:
-            numbers = n, m, k, budget.max_states
+        if visited > budget:
+            numbers = n, m, k, budget
             raise BudgetExceededError(
                 "oracle_restricted_partitions({}, {}, {}) passed {} enumeration steps"
                 .format(*map(decimal_writer(max(map(abs, numbers))), numbers))

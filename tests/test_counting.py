@@ -67,6 +67,8 @@ def test_composition_spec():
         CompositionSpec((), zero_allowed=True)
     with pytest.raises(ValueError):
         CompositionSpec(((4, 1), (2, 1)),)  # bounds out of order
+    with pytest.raises(ValueError):
+        CompositionSpec(((2, 0),))  # a part taken no times
 
 
 def test_parse_composition_spec():

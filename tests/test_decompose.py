@@ -59,14 +59,14 @@ entries_strategy = st.dictionaries(
 
 
 def test_omega_table_type():
-    table = OmegaTable((1, 1), 1)
+    table = OmegaTable((1, 1))
     assert table.omega(0) == 1
     assert table.omega(5) == 0
     assert table.omega(-1) == 0
     assert table.total == 2
     assert table.to_polynomial().coeffs == (1, 1)
-    with pytest.raises(ValueError):
-        OmegaTable((1, 1), 3)
+    assert table.twice_j0 == 1
+    assert OmegaTable(()).twice_j0 == -1
 
 
 def test_decomposition_table_type():
@@ -81,6 +81,8 @@ def test_decomposition_table_type():
     assert not empty
     with pytest.raises(ValueError):
         empty.twice_j0
+    with pytest.raises(ValueError):
+        empty.twice_jmin
     with pytest.raises(ValueError):
         DecompositionTable(((0, 1), (4, 1)))  # ascending
     with pytest.raises(ValueError):
@@ -240,7 +242,7 @@ def test_decompose_checks_survive_optimized_mode():
         "    values = list(exact_omega(spins).values)\n"
         "    values[1] += 1\n"
         "    values[-2] += 1\n"
-        "    return d.OmegaTable(tuple(values), spins.twice_j0)\n"
+        "    return d.OmegaTable(tuple(values))\n"
         "def raised_counts(spins, top):\n"
         "    values = exact_counts(spins, top)\n"
         "    values[1] += 1\n"
@@ -365,16 +367,16 @@ def test_lambda_binomial_domain():
 
 
 def test_lambda_from_omega_small():
-    assert lambda_from_omega(OmegaTable((1, 1), 1)).entries == ((1, 1),)
-    assert lambda_from_omega(OmegaTable((1, 2, 1), 2)).entries == ((2, 1), (0, 1))
+    assert lambda_from_omega(OmegaTable((1, 1))).entries == ((1, 1),)
+    assert lambda_from_omega(OmegaTable((1, 2, 1))).entries == ((2, 1), (0, 1))
     with pytest.raises(ValueError):
-        lambda_from_omega(OmegaTable((2, 1), 1))  # Omega_0 must be 1
+        lambda_from_omega(OmegaTable((2, 1)))  # Omega_0 must be 1
     with pytest.raises(ValueError):
-        lambda_from_omega(OmegaTable((1, 2, 5), 2))  # dimension audit fails
+        lambda_from_omega(OmegaTable((1, 2, 5)))  # dimension audit fails
     with pytest.raises(ValueError):
         # palindromic, and sum lambda (2J+1) = sum Omega = 8, but the
         # differences 1, 0, 1 leave a gap below J_0
-        lambda_from_omega(OmegaTable((1, 1, 2, 2, 1, 1), 5))
+        lambda_from_omega(OmegaTable((1, 1, 2, 2, 1, 1)))
 
 
 def test_difference_decomposition_matches_lambda_from_omega():
@@ -400,7 +402,7 @@ def test_difference_decomposition_reads_a_sequence():
     assert difference_decomposition(excluded.values, excluded.twice_j0).entries == ()
     assert difference_decomposition(excluded.values, 8).entries == ()
     # the scan keeps a gap below J_0; lambda_from_omega's audit rejects it
-    gapped = OmegaTable((1, 1, 2, 2, 1, 1), 5)
+    gapped = OmegaTable((1, 1, 2, 2, 1, 1))
     assert difference_decomposition(gapped.values, 5).entries == ((5, 1), (1, 1))
     with pytest.raises(ValueError, match="do not account"):
         lambda_from_omega(gapped)

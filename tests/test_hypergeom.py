@@ -127,6 +127,7 @@ def test_omega_univariate_hypergeometric_matches():
                 expected = omega_univariate(twice_j, num, n)
                 value = omega_univariate_hypergeometric(twice_j, num, n)
                 assert value == expected, (twice_j, num, n)
+    assert omega_univariate_hypergeometric(1, 2, -1) == 0
 
 
 def test_lambda_univariate_hypergeometric_matches():

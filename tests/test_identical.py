@@ -146,3 +146,5 @@ def test_unbounded_level_limits():
     with pytest.raises(ValueError):
         inf_sym_omega(0, 3)
     assert inf_antisym_omega(3, 1) == 0
+    with pytest.raises(ValueError):
+        inf_antisym_omega(0, 1)

@@ -11,7 +11,6 @@ import pytest
 from conftest import random_multiset_bounded_dim
 from spincg import (
     BudgetExceededError,
-    EnumerationBudget,
     SpinMultiset,
     antisym_omega,
     IdenticalSystem,
@@ -27,7 +26,7 @@ from spincg import (
     sym_genfunc,
 )
 
-TIGHT = EnumerationBudget(max_states=10)
+TIGHT = 10
 
 
 def test_oracle_omega_examples():
@@ -76,6 +75,7 @@ def test_oracle_qbinom():
     assert oracle_qbinom(4, 2).coeffs == (1, 1, 2, 1, 1)
     assert oracle_qbinom(5, 0).coeffs == (1,)
     assert oracle_qbinom(3, 3).coeffs == (1,)
+    assert oracle_qbinom(3, 4).coeffs == oracle_qbinom(3, -1).coeffs == ()
     for a in range(0, 7):
         for b in range(0, a + 1):
             assert oracle_qbinom(a, b) == q_binomial(a, b)
@@ -87,6 +87,8 @@ def test_oracle_restricted_partitions():
             for k in range(0, 9):
                 assert oracle_restricted_partitions(n, m, k) == \
                     restricted_partitions(n, m, k)
+    # answered before the walk, so even a budget of 0 admits it
+    assert oracle_restricted_partitions(2, 2, -1, 0) == 0
 
 
 def test_budget_guards():
@@ -118,18 +120,18 @@ def test_restricted_partitions_walk_charges_each_node_once():
             for k in range(1, 8):
                 need = nodes(k, n, m)
                 assert oracle_restricted_partitions(
-                    n, m, k, EnumerationBudget(need)) == restricted_partitions(n, m, k)
+                    n, m, k, need) == restricted_partitions(n, m, k)
                 with pytest.raises(BudgetExceededError):
-                    oracle_restricted_partitions(n, m, k, EnumerationBudget(need - 1))
+                    oracle_restricted_partitions(n, m, k, need - 1)
 
 
 def test_restricted_partitions_walk_deeper_than_the_recursion_limit():
     # 3000 ones: a chain of 3,001 nodes, deeper than CPython's default
     # recursion limit of 1000
     assert sys.getrecursionlimit() < 3001
-    assert oracle_restricted_partitions(1, 3000, 3000, EnumerationBudget(3001)) == 1
+    assert oracle_restricted_partitions(1, 3000, 3000, 3001) == 1
     with pytest.raises(BudgetExceededError) as caught:
-        oracle_restricted_partitions(1, 3000, 3000, EnumerationBudget(3000))
+        oracle_restricted_partitions(1, 3000, 3000, 3000)
     assert str(caught.value) == (
         "oracle_restricted_partitions(1, 3000, 3000) passed 3000 enumeration steps")
 
@@ -172,8 +174,13 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
          "over the budget of 1000000"),
         (lambda: oracle_qbinom(10**5000, 1),
          f"oracle_qbinom({big}, 1) needs {big} states, over the budget of 1000000"),
-        (lambda: oracle_restricted_partitions(10**5000, 2, 5, EnumerationBudget(1)),
+        (lambda: oracle_restricted_partitions(10**5000, 2, 5, 1),
          f"oracle_restricted_partitions({big}, 2, 5) passed 1 enumeration steps"),
+        # with a budget below 1, the arguments outgrow the state count
+        (lambda: oracle_sym(10**5000, 0, 0),
+         f"oracle_sym(2j={big}, N=0) needs 1 states, over the budget of 0"),
+        (lambda: oracle_qbinom(10**5000, 0, 0),
+         f"oracle_qbinom({big}, 0) needs 1 states, over the budget of 0"),
         (lambda: oracle_sym(5, 9, budget=TIGHT),
          "oracle_sym(2j=5, N=9) needs 2002 states, over the budget of 10"),
         (lambda: oracle_antisym(40, 20, budget=TIGHT),

@@ -177,4 +177,4 @@ def test_star_import_binds_the_package_all():
         "print(len(spincg.__all__))\n"
         "print(sorted(set(namespace) - {'__builtins__'}) == sorted(spincg.__all__))\n"
         "print(all(namespace[n] is getattr(spincg, n) for n in spincg.__all__))\n")
-    assert lines == ["47", "True", "True"]
+    assert lines == ["46", "True", "True"]

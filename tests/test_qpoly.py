@@ -53,6 +53,9 @@ def test_polynomial_exact_division():
     assert _exact_div(num, IntPolynomial((1, 1))).coeffs == (1, 0, 1)
     with pytest.raises(ArithmeticError):
         _exact_div(IntPolynomial((1, 1, 1)), IntPolynomial((1, 1)))
+    with pytest.raises(ArithmeticError):
+        # a leading coefficient that does not divide: caught inside the loop
+        _exact_div(IntPolynomial((1, 1)), IntPolynomial((0, 2)))
     with pytest.raises(ZeroDivisionError):
         _exact_div(IntPolynomial((1,)), IntPolynomial())
 
@@ -83,6 +86,8 @@ def test_q_factorial():
     assert q_factorial(2).coeffs == (1, 1)
     assert q_factorial(3).coeffs == (1, 2, 2, 1)
     assert sum(q_factorial(5).coeffs) == math.factorial(5)
+    with pytest.raises(DomainError):
+        q_factorial(-1)
 
 
 # ------------------------------------------------------------ Gaussian binomials
@@ -122,6 +127,9 @@ def test_q_binomial_routes_agree():
             parities.add(b * (a - b) % 2)
             assert q_binomial(a, b) == q_binomial_by_division(a, b), (a, b)
     assert parities == {0, 1}
+    assert q_binomial_by_division(3, 4).coeffs == ()
+    with pytest.raises(DomainError):
+        q_binomial_by_division(-1, 0)
 
 
 def test_q_binomial_convolution_edges():
@@ -158,6 +166,7 @@ def test_q_to_one_binomial_sum_identities():
             want = math.comb(a, b)
             assert sum(binom(a - b - 1 + n, n) for n in range(b + 1)) == want
             assert sum(binom(b - 1 + n, n) for n in range(a - b + 1)) == want
+    assert binom(5, -1) == 0  # the convention these sums lean on
 
 
 # ------------------------------------------------- packed Gaussian product
@@ -320,6 +329,8 @@ def test_partitions_at_most():
     assert partitions_at_most(4, -2) == 0
     assert partitions_at_most(0, 0) == 1
     assert partitions_at_most(0, 3) == 0
+    with pytest.raises(DomainError, match="^partitions_at_most needs"):
+        partitions_at_most(-1, 3)
     # saturation: more slots than the number being partitioned changes nothing
     for k in range(0, 12):
         assert partitions_at_most(k + 3, k) == partitions_at_most(k, k)
@@ -386,6 +397,8 @@ def test_phi2_closed_form():
             for k in range(0, 25):
                 assert phi2_closed(a, b, k) == phi(a, b, 2, k)
     assert phi2_closed(9, 4, 6) == 3  # bound 5: (5,1), (4,2), (3,3)
+    with pytest.raises(DomainError):
+        phi2_closed(1, 2, 0)
 
 
 def test_sum_phi_equals_p():
