@@ -1,25 +1,29 @@
 """Brute-force enumeration oracles.
 
 Every fast path in the package is validated against direct state counting.
-Nothing in this module touches the formula machinery (no generating
-functions, no binomial sums, no partition recurrences): tables are built by
-walking product states with a mixed-radix counter, or by enumerating
-combinations and subsets, and histogramming sums.  That independence is the
-point; an oracle that shared code with the fast path would prove nothing.
+Nothing here touches the formula machinery (no generating functions, no
+binomial sums, no partition recurrences): each table histograms the level
+sums over one state space that itertools enumerates.  Distinguishable spins
+range over the Cartesian product of their levels (integer compositions),
+symmetric compositions over multisets of levels (partitions), antisymmetric
+ones over sets of levels (partitions into distinct parts).  That
+independence is the point; an oracle that shared code with the fast path
+would prove nothing.
 
-Each oracle takes budget, the most states it may enumerate (default
-DEFAULT_MAX_STATES, one million), and raises BudgetExceededError past it:
-before any work starts where the count is known up front, and as the walk
-passes it where it is not.
+Each oracle raises DomainError where its fast counterpart does (a negative
+2j, N, a, n or m), then checks its budget, the most states it may
+enumerate (default DEFAULT_MAX_STATES, one million): BudgetExceededError
+comes before any work where the count is known up front, and as the walk
+passes the budget where it is not.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from .decompose import OmegaTable
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DomainError
 from .qpoly import IntPolynomial
 from .spins import SpinMultiset
 from .util import decimal_writer
@@ -54,34 +58,25 @@ def _require(budget: int, states: int, call: str, *args) -> None:
         )
 
 
+def _histogram(states, top: int, shift: int = 0) -> tuple[int, ...]:
+    """How many states, tuples of levels, have each level sum shift .. top."""
+    counts = [0] * (top - shift + 1)
+    for total in map(sum, states):
+        counts[total - shift] += 1
+    return tuple(counts)
+
+
 def oracle_omega(
     spins: SpinMultiset, budget: int = DEFAULT_MAX_STATES
 ) -> OmegaTable:
     """Omega table by enumerating every product state.
 
-    Each spin contributes a digit n_i in 0 .. 2j_i; the counter steps
-    through all prod (2j_i + 1) tuples odometer-style, maintaining the
-    running digit sum, and histograms it.
+    A state is one level n_i in 0 .. 2j_i per spin, an integer composition
+    of its level sum: the Cartesian product of the level ranges.
     """
     _require(budget, spins.total_dimension, "oracle_omega({})", spins)
-    caps = spins.twice_spins
-    counts = [0] * (sum(caps) + 1)
-    digits = [0] * len(caps)
-    total = 0
-    counts[0] = 1
-    width = len(caps)
-    while True:
-        i = 0
-        while i < width and digits[i] == caps[i]:
-            total -= caps[i]
-            digits[i] = 0
-            i += 1
-        if i == width:
-            break
-        digits[i] += 1
-        total += 1
-        counts[total] += 1
-    return OmegaTable(tuple(counts))
+    levels = [range(twice_j + 1) for twice_j in spins.twice_spins]
+    return OmegaTable(_histogram(product(*levels), spins.twice_j0))
 
 
 def oracle_sym(
@@ -89,15 +84,15 @@ def oracle_sym(
 ) -> OmegaTable:
     """Symmetric-composition table by enumerating multisets of levels.
 
-    One state per multiset of N levels from 0 .. 2j (order never matters
-    for bosons); the histogram of level sums is the table.
+    A state is a multiset of N levels from 0 .. 2j (order never matters
+    for bosons), a partition of its level sum.
     """
+    if twice_j < 0 or count < 0:
+        raise DomainError("oracle_sym needs 2j >= 0 and N >= 0")
     states = math.comb(twice_j + count, count)
     _require(budget, states, "oracle_sym(2j={}, N={})", twice_j, count)
-    counts = [0] * (twice_j * count + 1)
-    for levels in combinations_with_replacement(range(twice_j + 1), count):
-        counts[sum(levels)] += 1
-    return OmegaTable(tuple(counts))
+    levels = combinations_with_replacement(range(twice_j + 1), count)
+    return OmegaTable(_histogram(levels, twice_j * count))
 
 
 def oracle_antisym(
@@ -105,17 +100,18 @@ def oracle_antisym(
 ) -> OmegaTable:
     """Antisymmetric-composition table by enumerating level subsets.
 
-    One state per set of N distinct levels; with N > 2j + 1 there are no
-    subsets and the table is empty (Pauli exclusion).
+    A state is a set of N distinct levels, a partition of its level sum
+    into distinct parts; with N > 2j + 1 there are none and the table is
+    empty (Pauli exclusion).
     """
+    if twice_j < 0 or count < 0:
+        raise DomainError("oracle_antisym needs 2j >= 0 and N >= 0")
     if count > twice_j + 1:
         return OmegaTable(())
     states = math.comb(twice_j + 1, count)
     _require(budget, states, "oracle_antisym(2j={}, N={})", twice_j, count)
-    counts = [0] * (sum(range(twice_j + 1 - count, twice_j + 1)) + 1)
-    for levels in combinations(range(twice_j + 1), count):
-        counts[sum(levels)] += 1
-    return OmegaTable(tuple(counts))
+    levels = combinations(range(twice_j + 1), count)
+    return OmegaTable(_histogram(levels, sum(range(twice_j + 1 - count, twice_j + 1))))
 
 
 def oracle_qbinom(
@@ -125,15 +121,14 @@ def oracle_qbinom(
 
     [a choose b]_q = sum over b-subsets S of {1..a} of q^(sum(S) - b(b+1)/2).
     """
+    if a < 0:
+        raise DomainError("oracle_qbinom needs a >= 0")
     if b < 0 or b > a:
         return IntPolynomial()
-    states = math.comb(a, b)
-    _require(budget, states, "oracle_qbinom({}, {})", a, b)
+    _require(budget, math.comb(a, b), "oracle_qbinom({}, {})", a, b)
     shift = b * (b + 1) // 2
-    counts = [0] * (b * (a - b) + 1)
-    for subset in combinations(range(1, a + 1), b):
-        counts[sum(subset) - shift] += 1
-    return IntPolynomial(tuple(counts))
+    subsets = combinations(range(1, a + 1), b)
+    return IntPolynomial(_histogram(subsets, shift + b * (a - b), shift))
 
 
 def oracle_restricted_partitions(
@@ -145,6 +140,8 @@ def oracle_restricted_partitions(
     stack, largest part first; each visited node counts against the budget.
     A node is (sum still to place, largest part allowed, parts left).
     """
+    if n < 0 or m < 0:
+        raise DomainError("oracle_restricted_partitions needs n >= 0 and m >= 0")
     if k < 0:
         return 0
     if k == 0:

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import SpinParseError
-from .util import heaviside
+from .util import decimal_writer, heaviside
 
 __all__ = ["SpinMultiset", "parse_spins", "parse_spin_token", "spin_label"]
 
@@ -31,9 +31,11 @@ _ITEM_RE = re.compile(r"^(\d+)(?:/(\d+))?(?:\^(\d+))?$")
 
 def spin_label(twice_j: int) -> str:
     """Human form of a twice-spin: 4 -> "2", 9 -> "9/2"."""
-    if twice_j % 2 == 0:
-        return str(twice_j // 2)
-    return f"{twice_j}/2"
+    try:
+        return f"{twice_j}/2" if twice_j % 2 else str(twice_j // 2)
+    except ValueError:  # past the interpreter's int/str digit cap
+        write = decimal_writer(twice_j)
+        return f"{write(twice_j)}/2" if twice_j % 2 else write(twice_j // 2)
 
 
 def parse_spin_token(token: str) -> int:
@@ -170,7 +172,10 @@ class SpinMultiset:
         parts = []
         for twice_j, mult in self.entries:
             label = spin_label(twice_j)
-            parts.append(label if mult == 1 else f"{label}^{mult}")
+            try:
+                parts.append(label if mult == 1 else f"{label}^{mult}")
+            except ValueError:  # past the interpreter's int/str digit cap
+                parts.append(f"{label}^{decimal_writer(mult)(mult)}")
         return ",".join(parts)
 
     def __str__(self) -> str:

@@ -11,6 +11,7 @@ import pytest
 from conftest import random_multiset_bounded_dim
 from spincg import (
     BudgetExceededError,
+    DomainError,
     SpinMultiset,
     antisym_omega,
     IdenticalSystem,
@@ -40,7 +41,7 @@ def test_oracle_omega_examples():
 
 
 def test_oracle_omega_counts_product_states():
-    # cross-check the odometer against itertools.product
+    # each Omega_n counts the product states whose levels sum to n
     spins = SpinMultiset.from_entries({1: 2, 3: 1})
     table = oracle_omega(spins)
     levels = [range(t + 1) for t in spins.twice_spins]
@@ -53,6 +54,10 @@ def test_oracle_sym():
     assert oracle_sym(3, 1).values == (1, 1, 1, 1)
     assert oracle_sym(1, 2).values == (1, 1, 1)
     assert oracle_sym(2, 2).values == (1, 1, 2, 1, 1)
+    # negative 2j or N are outside the domain, checked before the budget
+    for twice_j, num in ((-2, 2), (3, -1)):
+        with pytest.raises(DomainError):
+            oracle_sym(twice_j, num, 0)
 
 
 def test_oracle_antisym():
@@ -60,6 +65,10 @@ def test_oracle_antisym():
     empty = oracle_antisym(1, 3)  # exclusion: three fermions, two levels
     assert empty.values == ()
     assert empty.total == 0
+    # negative 2j or N are outside the domain, not exclusion or a bare ValueError
+    for twice_j, num in ((-3, 1), (3, -1)):
+        with pytest.raises(DomainError):
+            oracle_antisym(twice_j, num, 0)
     # spot check against direct subset enumeration
     for twice_j, num in ((4, 2), (4, 3), (3, 3)):
         counts = oracle_antisym(twice_j, num)
@@ -79,6 +88,8 @@ def test_oracle_qbinom():
     for a in range(0, 7):
         for b in range(0, a + 1):
             assert oracle_qbinom(a, b) == q_binomial(a, b)
+    with pytest.raises(DomainError):
+        oracle_qbinom(-1, 0, 0)
 
 
 def test_oracle_restricted_partitions():
@@ -89,6 +100,12 @@ def test_oracle_restricted_partitions():
                     restricted_partitions(n, m, k)
     # answered before the walk, so even a budget of 0 admits it
     assert oracle_restricted_partitions(2, 2, -1, 0) == 0
+    # negative slots or part sizes are outside the domain, not unlimited
+    for n, m, k in ((2, -1, 3), (-1, 2, 3), (2, -1, -1)):
+        with pytest.raises(DomainError):
+            restricted_partitions(n, m, k)
+        with pytest.raises(DomainError):
+            oracle_restricted_partitions(n, m, k, 0)
 
 
 def test_budget_guards():
@@ -176,6 +193,8 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
          f"oracle_qbinom({big}, 1) needs {big} states, over the budget of 1000000"),
         (lambda: oracle_restricted_partitions(10**5000, 2, 5, 1),
          f"oracle_restricted_partitions({big}, 2, 5) passed 1 enumeration steps"),
+        (lambda: oracle_omega(SpinMultiset(((2 * 10**5000, 1),)), 10),
+         f"oracle_omega({big}) needs 2{big[2:]}1 states, over the budget of 10"),
         # with a budget below 1, the arguments outgrow the state count
         (lambda: oracle_sym(10**5000, 0, 0),
          f"oracle_sym(2j={big}, N=0) needs 1 states, over the budget of 0"),

@@ -100,11 +100,16 @@ def test_twice_jmin_branches():
     assert parse_spins("9/2").twice_j0 == 9
 
 
-def test_canonical_rendering():
+def test_canonical_rendering(digit_cap):
     spins = parse_spins("1^4 , 1/2^2")
     assert spins.canonical() == "1/2^2,1^4"
     assert str(parse_spins("3/2^2,5/2")) == "3/2^2,5/2"
     assert parse_spins("2").canonical() == "2"
+    # numbers past the int/str digit cap are written in full
+    digit_cap(4300)
+    big = "1" + "0" * 5000
+    huge = SpinMultiset(((2 * 10**5000, 1), (2 * 10**5000 + 1, 10**5000)))
+    assert huge.canonical() == f"{big},2{big[2:]}1/2^{big}"
 
 
 def test_multiset_validation():
