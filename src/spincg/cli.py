@@ -151,8 +151,8 @@ def _cmd_partitions(args: argparse.Namespace) -> str:
 
 def _cmd_compose(args: argparse.Namespace) -> str:
     counting = _module("counting")
-    spec = counting.parse_composition_spec(args.parts, args.allow_zero)
-    return _decimal(counting.count_compositions(spec, args.n))
+    parts = counting.parse_composition_spec(args.parts)
+    return _decimal(counting.count_compositions(parts, args.n, args.allow_zero))
 
 
 def _fraction_decimal(value: Fraction, digits: int) -> str:

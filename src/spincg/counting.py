@@ -12,16 +12,16 @@ None of these take a closed-form shortcut here; they run through decompose
 itself, which makes them end-to-end integration checks of the core.  The
 closed forms appear only in the test suite as expected values.
 
-Bounded integer compositions reuse the Omega table in disguise: the number
-of ways to write n as an ordered sum with d_a parts bounded by n_a each is
-Omega at n for the spin multiset {n_a as twice-spin, d_a copies}.  Fair-dice
+A bounded-composition problem is a spin multiset: d_a parts bounded by n_a
+each are d_a spins of twice-spin n_a, a part is a spin's magnetization
+level counted up from -j, and the number of ways to write n as an ordered
+sum of those parts (zero allowed) is Omega at n of the multiset.  Fair-dice
 sum probabilities follow as exact Fractions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import _omega_at, decompose
@@ -32,7 +32,6 @@ __all__ = [
     "catalan",
     "riordan",
     "isotropic_isomers",
-    "CompositionSpec",
     "parse_composition_spec",
     "count_compositions",
     "dice_probability",
@@ -76,40 +75,8 @@ def isotropic_isomers(dim: int, rank: int) -> int:
     return _singlet_multiplicity(dim - 1, rank)
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
-    """Bounded-composition problem: parts (bound, how many), order matters.
-
-    With zero_allowed, parts range over 0 .. bound; otherwise 1 .. bound.
-    """
-
-    parts: tuple[tuple[int, int], ...]
-    zero_allowed: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("a composition spec needs at least one part")
-        last = 0
-        for bound, count in self.parts:
-            if bound <= last:
-                raise ValueError("part bounds must be ascending and >= 1")
-            if count < 1:
-                raise ValueError("part counts must be >= 1")
-            last = bound
-
-    @classmethod
-    def from_bounds(
-        cls, bounds: dict[int, int], zero_allowed: bool = False
-    ) -> "CompositionSpec":
-        return cls(tuple(sorted(bounds.items())), zero_allowed)
-
-    @property
-    def num_parts(self) -> int:
-        return sum(count for _, count in self.parts)
-
-
-def parse_composition_spec(text: str, zero_allowed: bool = False) -> CompositionSpec:
-    """Parse "2^5,4^3,5^4" into a CompositionSpec (bounds with counts)."""
+def parse_composition_spec(text: str) -> SpinMultiset:
+    """Parse "2^5,4^3,5^4" into its parts: the bounds as twice-spins, with counts."""
     cleaned = re.sub(r"\s+", "", text)
     if not cleaned:
         raise SpinParseError("empty composition specification")
@@ -125,23 +92,23 @@ def parse_composition_spec(text: str, zero_allowed: bool = False) -> Composition
         if count == 0:
             raise SpinParseError(f"zero count in token {token!r}")
         bounds[bound] = bounds.get(bound, 0) + count
-    return CompositionSpec.from_bounds(bounds, zero_allowed)
+    return SpinMultiset.from_entries(bounds)
 
 
-def count_compositions(spec: CompositionSpec, n: int) -> int:
-    """Number of compositions of n under the spec, exactly.
+def count_compositions(parts: SpinMultiset, n: int, zero_allowed: bool = False) -> int:
+    """Compositions of n with one part per spin of parts, exactly.
 
-    Zero-allowed parts bounded by n_a map straight onto spin channels with
-    2j = n_a, so the count is Omega_n of that multiset.  Without zeros,
-    subtracting 1 from every part shifts to the zero-allowed problem with
-    bounds n_a - 1 and target n - N; bounds that drop to zero leave
-    channels that only ever hold the forced value 1.
+    The part for a spin j ranges over 0 .. 2j with zero_allowed, otherwise
+    over 1 .. 2j.  Zero-allowed parts are the spins' magnetization levels, so
+    the count is Omega_n of parts itself.  Without zeros, subtracting 1 from
+    every part shifts to the zero-allowed problem with bounds 2j - 1 and
+    target n - N; bounds that drop to zero leave channels that only ever hold
+    the forced value 1.
     """
-    if spec.zero_allowed:
-        multiset = SpinMultiset.from_entries(dict(spec.parts))
-        return _omega_at(multiset, n)
-    shifted = {bound - 1: count for bound, count in spec.parts if bound >= 2}
-    target = n - spec.num_parts
+    if zero_allowed:
+        return _omega_at(parts, n)
+    shifted = {bound - 1: count for bound, count in parts.entries if bound >= 2}
+    target = n - parts.num_spins
     if not shifted:
         return 1 if target == 0 else 0
     return _omega_at(SpinMultiset.from_entries(shifted), target)
@@ -151,5 +118,5 @@ def dice_probability(num_dice: int, total: int) -> Fraction:
     """Probability that num_dice fair six-sided dice sum to total, exactly."""
     if num_dice < 1:
         raise DomainError("dice_probability needs num_dice >= 1")
-    spec = CompositionSpec.from_bounds({6: num_dice}, zero_allowed=False)
-    return Fraction(count_compositions(spec, total), 6**num_dice)
+    dice = SpinMultiset.from_entries({6: num_dice})
+    return Fraction(count_compositions(dice, total), 6**num_dice)

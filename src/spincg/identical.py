@@ -45,9 +45,9 @@ class IdenticalSystem:
 
     def __post_init__(self) -> None:
         if self.twice_j < 1:
-            raise ValueError("twice_j must be >= 1")
+            raise DomainError("twice_j must be >= 1")
         if self.count < 1:
-            raise ValueError("count must be >= 1")
+            raise DomainError("count must be >= 1")
 
     @property
     def exclusion_shift(self) -> int:

@@ -140,7 +140,9 @@ def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     """Coefficients 0..top of [a choose b]_q, for 0 <= b <= a.
 
     prod_{i=1..c} (1 - q^(a-c+i)) / (1 - q^i) with c = min(b, a - b); the
-    partial products are the Gaussian binomials [a-c+i choose i]_q.
+    partial products are the Gaussian binomials [a-c+i choose i]_q.  Both
+    sides of a factor with i > top are 1 mod q^(top+1), so the list route
+    stops at i = min(c, top).
 
     Packed route (Kronecker substitution).  q -> X = 2^64 is a ring
     homomorphism Z[q]/(q^(top+1)) -> Z/2^(64(top+1)), so the product can
@@ -165,7 +167,7 @@ def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     c = min(b, a - b)
     if c <= 33 and top <= 4 * c * c and comb(a, c) < 1 << _WORD:
         return _packed_gaussian(a - c, c, top)
-    return _q_ratio_product([(a - c + i, i) for i in range(1, c + 1)], top)
+    return _q_ratio_product([(a - c + i, i) for i in range(1, min(c, top) + 1)], top)
 
 
 def _packed_gaussian(offset: int, c: int, top: int) -> list[int]:

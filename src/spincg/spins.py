@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import SpinParseError
+from .errors import DomainError, SpinParseError
 from .util import decimal_writer, heaviside
 
 __all__ = ["SpinMultiset", "parse_spins", "parse_spin_token", "spin_label"]
@@ -108,13 +108,13 @@ class SpinMultiset:
 
     def __post_init__(self) -> None:
         if not self.entries:
-            raise ValueError("a spin multiset cannot be empty")
+            raise DomainError("a spin multiset cannot be empty")
         last = 0
         for twice_j, mult in self.entries:
             if twice_j <= last:
-                raise ValueError("entries must be ascending distinct twice-spins >= 1")
+                raise DomainError("entries must be ascending distinct twice-spins >= 1")
             if mult < 1:
-                raise ValueError(f"multiplicity for twice-spin {twice_j} must be >= 1")
+                raise DomainError(f"multiplicity for twice-spin {twice_j} must be >= 1")
             last = twice_j
 
     @classmethod

@@ -10,8 +10,8 @@ from itertools import product
 import pytest
 
 from spincg import (
-    CompositionSpec,
     DomainError,
+    SpinMultiset,
     SpinParseError,
     catalan,
     count_compositions,
@@ -56,26 +56,11 @@ def test_isotropic_isomers():
         isotropic_isomers(3, -1)
 
 
-def test_composition_spec():
-    spec = CompositionSpec(((2, 2), (4, 3)), zero_allowed=False)
-    assert spec.num_parts == 5
-    assert CompositionSpec.from_bounds({4: 3, 2: 2}, zero_allowed=True).parts == \
-        ((2, 2), (4, 3))
-    with pytest.raises(ValueError):
-        CompositionSpec(((0, 2),), zero_allowed=False)
-    with pytest.raises(ValueError):
-        CompositionSpec((), zero_allowed=True)
-    with pytest.raises(ValueError):
-        CompositionSpec(((4, 1), (2, 1)),)  # bounds out of order
-    with pytest.raises(ValueError):
-        CompositionSpec(((2, 0),))  # a part taken no times
-
-
 def test_parse_composition_spec():
-    spec = parse_composition_spec("2^5,4^3,5^4")
-    assert spec.parts == ((2, 5), (4, 3), (5, 4))
-    assert spec.num_parts == 12
-    assert not spec.zero_allowed
+    parts = parse_composition_spec("2^5,4^3,5^4")
+    assert parts.entries == ((2, 5), (4, 3), (5, 4))
+    assert parts.num_spins == 12
+    assert parse_composition_spec("3, 2,3^2") == SpinMultiset.from_entries({2: 1, 3: 3})
     with pytest.raises(SpinParseError):
         parse_composition_spec("2^0")
     with pytest.raises(SpinParseError):
@@ -105,7 +90,7 @@ def test_count_compositions_brute():
         ({6: 1}, False),
     ]
     for bounds, zero_allowed in cases:
-        spec = CompositionSpec.from_bounds(bounds, zero_allowed=zero_allowed)
+        parts = SpinMultiset.from_entries(bounds)
         expanded = [b for b, count in sorted(bounds.items()) for _ in range(count)]
         low = 0 if zero_allowed else 1
         total = sum(expanded)
@@ -115,21 +100,22 @@ def test_count_compositions_brute():
                 for combo in product(*[range(low, p + 1) for p in expanded])
                 if sum(combo) == n
             )
-            assert count_compositions(spec, n) == direct, (bounds, zero_allowed, n)
+            assert count_compositions(parts, n, zero_allowed) == direct, \
+                (bounds, zero_allowed, n)
 
 
 def test_count_compositions_examples():
-    zero_pair = CompositionSpec.from_bounds({2: 2}, zero_allowed=True)
-    assert count_compositions(zero_pair, 2) == 3  # 0+2, 1+1, 2+0
-    all_ones = CompositionSpec.from_bounds({1: 3})
+    pair = SpinMultiset.from_entries({2: 2})
+    assert count_compositions(pair, 2, zero_allowed=True) == 3  # 0+2, 1+1, 2+0
+    all_ones = SpinMultiset.from_entries({1: 3})
     assert count_compositions(all_ones, 3) == 1
     assert count_compositions(all_ones, 2) == 0
-    spec = parse_composition_spec("2^5,4^3,5^4")
-    assert count_compositions(spec, 16) == 982
+    parts = parse_composition_spec("2^5,4^3,5^4")
+    assert count_compositions(parts, 16) == 982
     # reciprocity about the midpoint of [N, sum(bounds)]
     total, num = 42, 12
     for n in range(num, total + 1):
-        assert count_compositions(spec, n) == count_compositions(spec, total + num - n)
+        assert count_compositions(parts, n) == count_compositions(parts, total + num - n)
 
 
 def test_dice_probability():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import table_as_dict
 from spincg import (
+    DomainError,
     IdenticalSystem,
     SpinMultiset,
     antisym_decomposition,
@@ -29,11 +30,11 @@ def test_system_validation():
     assert system.exclusion_shift == 1
     assert system.as_multiset() == SpinMultiset.from_entries({3: 2})
     assert system.canonical() == "3/2^2"
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         IdenticalSystem(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         IdenticalSystem(2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         IdenticalSystem(-1, 1)
 
 

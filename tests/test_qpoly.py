@@ -46,6 +46,8 @@ def test_polynomial_arithmetic():
     assert two[0] == 1 and two[5] == 0
     zero = IntPolynomial()
     assert (two * zero) == zero
+    # a zero coefficient on the left contributes no products
+    assert IntPolynomial((1, 0, 1)) * two == IntPolynomial((1, 1, 1, 1))
 
 
 def test_polynomial_exact_division():
@@ -268,6 +270,8 @@ def test_restricted_partitions_examples():
     assert restricted_partitions(0, 4, 0) == 1
     assert restricted_partitions(4, 0, 0) == 1
     assert restricted_partitions(4, 0, 1) == 0
+    # only the factors i <= k of the million q-ratios reach q^k
+    assert restricted_partitions(10**6, 10**6, 5) == 7
     with pytest.raises(DomainError):
         restricted_partitions(-1, 2, 1)
     with pytest.raises(DomainError):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fold_pairwise
-from spincg import SpinMultiset, SpinParseError, parse_spins, parse_spin_token, spin_label
+from spincg import (
+    DomainError,
+    SpinMultiset,
+    SpinParseError,
+    parse_spin_token,
+    parse_spins,
+    spin_label,
+)
 from spincg.util import heaviside
 
 
@@ -113,13 +120,13 @@ def test_canonical_rendering(digit_cap):
 
 
 def test_multiset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpinMultiset(())
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpinMultiset(((2, 1), (1, 1)))  # not ascending
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpinMultiset(((1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpinMultiset(((0, 2),))
 
 
