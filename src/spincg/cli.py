@@ -3,8 +3,9 @@
 One verb per capability; every number printed is exact.  Each handler
 returns the full text of its answer and main writes it once.  Exit codes:
 0 success, 2 parse/usage error, 3 domain error, 4 enumeration budget
-exceeded.  argparse exits 2 on usage errors; every other nonzero code is
-the exit_code of the spincg.errors class raised.  A plain argv is read
+exceeded or out of memory.  argparse exits 2 on usage errors, and a
+MemoryError 4; every other nonzero code is the exit_code of the
+spincg.errors class raised.  A plain argv is read
 from the verb table that builds the argparse tree; help and usage errors
 come from argparse.  JSON output is canonical: fixed key order, big
 integers as decimal strings, rendered by json.dumps with default
@@ -368,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SpinParseError, DomainError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: not enough memory for this job", file=sys.stderr)
+        return BudgetExceededError.exit_code
     except BrokenPipeError:
         # The reader left.  Point stdout at devnull so the flush at exit does
         # not raise again (Python docs, signal module, "Note on SIGPIPE").

@@ -1,12 +1,11 @@
 """Counting applications riding on the decomposition machinery.
 
-The singlet (J = 0) multiplicity of a spin collection counts classical
-combinatorial objects:
+The singlet (J = 0) multiplicity of r copies of a D-level system, read as
+spin (D-1)/2, is the number of isotropic (rotationally invariant) rank-r
+isomers, and it counts classical combinatorial objects:
 
-* 2v spin-1/2: the Catalan number C_v,
-* v spin-1: the Riordan number R_v,
-* r copies of a D-level system read as spin (D-1)/2: the number of
-  isotropic (rotationally invariant) rank-r isomers.
+* D = 2, r = 2v (2v spin-1/2): the Catalan number C_v,
+* D = 3, r = v (v spin-1): the Riordan number R_v.
 
 None of these take a closed-form shortcut here; they run through decompose
 itself, which makes them end-to-end integration checks of the core.  The
@@ -40,26 +39,18 @@ __all__ = [
 _PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def _singlet_multiplicity(twice_j: int, count: int) -> int:
-    if count == 0:
-        # an empty tensor product is the scalar representation
-        return 1
-    table = decompose(SpinMultiset.from_entries({twice_j: count}))
-    return table.multiplicity(0)
-
-
 def catalan(v: int) -> int:
     """Catalan number C_v as the singlet multiplicity of 2v spin-1/2."""
     if v < 0:
         raise DomainError("catalan needs v >= 0")
-    return _singlet_multiplicity(1, 2 * v)
+    return isotropic_isomers(2, 2 * v)
 
 
 def riordan(v: int) -> int:
     """Riordan number R_v as the singlet multiplicity of v spin-1."""
     if v < 0:
         raise DomainError("riordan needs v >= 0")
-    return _singlet_multiplicity(2, v)
+    return isotropic_isomers(3, v)
 
 
 def isotropic_isomers(dim: int, rank: int) -> int:
@@ -72,7 +63,10 @@ def isotropic_isomers(dim: int, rank: int) -> int:
         raise DomainError("isotropic_isomers needs dim >= 2")
     if rank < 0:
         raise DomainError("isotropic_isomers needs rank >= 0")
-    return _singlet_multiplicity(dim - 1, rank)
+    if rank == 0:
+        # an empty tensor product is the scalar representation
+        return 1
+    return decompose(SpinMultiset.from_entries({dim - 1: rank})).multiplicity(0)
 
 
 def parse_composition_spec(text: str) -> SpinMultiset:

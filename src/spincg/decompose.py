@@ -359,10 +359,10 @@ def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
     shorter than 2J_0 + 1 (the antisymmetric oracle's, empty under Pauli
     exclusion) needs no padding.  One map(sub, ...) differences kappa = 0 ..
     floor(2J_0 / 2); the positive differences are kept, each at twice_J =
-    2J_0 - 2 kappa.  The one scan for decompose, lambda_from_omega and the
-    symmetric and antisymmetric tables (whose support starts above zero);
-    it makes no structural demands on the table, and lambda_from_omega and
-    decompose audit what it returns.
+    2J_0 - 2 kappa.  The one scan for decompose, lambda_from_omega, the
+    symmetric tables and the antisymmetric oracle's (whose support starts
+    above zero); it makes no structural demands on the table, and
+    lambda_from_omega and decompose audit what it returns.
     """
     half = twice_j0 // 2
     head = list(values[: half + 1])
@@ -410,14 +410,14 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
     method selects how the multiplicities are computed: "genfunc" (default)
     differences omega_genfunc's table, "composition" differences Omega_0 ..
     Omega_floor(J_0) from one dynamic program, and "binomial" takes every
-    lambda_kappa from one species walk and one binomial row (falling back to
-    the Omega-difference route for a single spin, where the direct kernel is
-    undefined).  The three methods agree entry for entry, and every result
-    passes one audit: its total dimension and minimum spin must equal the
-    multiset's.
+    lambda_kappa from one species walk and one binomial row (for a single
+    spin the row is 1, 0, 0, ... and the walk stops at kappa = 0, so the
+    table is the spin itself).  The three methods agree entry for entry, and
+    every result passes one audit: its total dimension and minimum spin must
+    equal the multiset's.
     """
     twice_j0 = spins.twice_j0
-    if method == "binomial" and spins.num_spins >= 2:
+    if method == "binomial":
         lams = _alternating_table(spins.entries, spins.num_spins - 2, spins.distinct_j_count - 1)
         table = DecompositionTable(tuple(zip(range(twice_j0, -1, -2), lams)))
     elif method == "composition":

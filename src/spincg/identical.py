@@ -8,10 +8,11 @@ turns the generating function into a single Gaussian binomial:
     antisymmetric:  G = q^(N(N-1)/2) [2j + 1 choose N]_q
 
 so the subspace dimensions are restricted partition counts and the
-multiplicities are their first differences.  Antisymmetrizing more spins
-than there are magnetization levels (N > 2j + 1) leaves no states at all;
-that returns an empty decomposition, the library-level face of the Pauli
-exclusion principle.
+multiplicities are their first differences.  Taking the staircase 0 .. N-1
+off N distinct levels leaves N levels of 2j' = 2j + 1 - N with repeats, so
+the antisymmetric table is the symmetric one of that complementary spin.
+More spins than levels (N > 2j + 1) leave no states: an empty table, the
+library-level face of the Pauli exclusion principle.
 """
 
 from __future__ import annotations
@@ -72,15 +73,15 @@ def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     lambda_kappa = p(2j, N, kappa) - p(2j, N, kappa - 1) at J = jN - kappa,
     kept where positive.  The top spin J = jN always appears exactly once.
     """
-    return _half_span_table(system.twice_j + system.count, system, 0)
+    return _sym_table(system.twice_j, system.count)
 
 
-def _half_span_table(a: int, system: IdenticalSystem, shift: int) -> DecompositionTable:
-    # Omega_n is the q^(n - shift) coefficient of [a choose N]_q.  The
-    # differences run only up to the middle of the span, so one truncated
-    # product supplies every Omega they read.
-    twice_j0 = system.twice_j * system.count
-    omega = [0] * shift + _gaussian_coefficients(a, system.count, twice_j0 // 2 - shift)
+def _sym_table(twice_j: int, count: int) -> DecompositionTable:
+    # Omega_n is the q^n coefficient of [2j + N choose N]_q.  The differences
+    # run only up to the middle of the span, so one truncated product
+    # supplies every Omega they read.
+    twice_j0 = twice_j * count
+    omega = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2)
     return difference_decomposition(omega, twice_j0)
 
 
@@ -114,13 +115,13 @@ def antisym_omega(system: IdenticalSystem, n: int) -> int:
 def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     """Irreducible content of the antisymmetric composition.
 
-    First differences of antisym_omega, kept where positive; empty under
-    exclusion (N > 2j + 1).  The top spin N(2j + 1 - N)/2 appears exactly
-    once.
+    The symmetric table of the complementary spin 2j' = 2j + 1 - N, since
+    q^(N(N-1)/2) lowers J_0 and every J alike; empty under exclusion (N >
+    2j + 1).  The top spin N(2j + 1 - N)/2 appears exactly once.
     """
     if system.count > system.twice_j + 1:
         return DecompositionTable(())
-    return _half_span_table(system.twice_j + 1, system, system.exclusion_shift)
+    return _sym_table(system.twice_j + 1 - system.count, system.count)
 
 
 def inf_sym_omega(num: int, n: int) -> int:

@@ -78,8 +78,6 @@ class IntPolynomial:
         # Schoolbook convolution, for spincg.crosscheck; its sizes there
         # stay at desk scale.
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:

@@ -445,6 +445,25 @@ def test_missing_stdout_ends_quietly(monkeypatch):
     assert main(["cgd", "--spins", "1/2^2"]) == 0
 
 
+def test_running_out_of_memory_exits_4():
+    # qbinom's table has 5 * 10^11 coefficients, far past a 1 GiB address space
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    wrapper = "import sys; from spincg.cli import main; sys.exit(main())"
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-c", wrapper, "qbinom", "--a", "2000000", "--b", "1000000"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit_address_space,
+    )
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr == "error: not enough memory for this job\n"
+
+
 def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "cgd")[0] == 2  # missing --spins
     assert run(capsys, "nonsense")[0] == 2

@@ -29,6 +29,8 @@ def test_catalan():
     for v, expected in enumerate(CATALAN):
         assert catalan(v) == expected
         assert catalan(v) == math.comb(2 * v, v) // (v + 1)
+    for v in range(20):
+        assert catalan(v) == isotropic_isomers(2, 2 * v)
     with pytest.raises(DomainError):
         catalan(-1)
 
@@ -38,6 +40,8 @@ def test_riordan():
     # Riordan recurrence: (v+1) R_v = (v-1)(2 R_{v-1} + 3 R_{v-2})
     for v in range(2, 14):
         assert (v + 1) * riordan(v) == (v - 1) * (2 * riordan(v - 1) + 3 * riordan(v - 2))
+    for v in range(20):
+        assert riordan(v) == isotropic_isomers(3, v)
     with pytest.raises(DomainError):
         riordan(-2)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import random
@@ -271,6 +272,15 @@ def test_decompose_checks_survive_optimized_mode():
     ]
 
 
+def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):
+    # the same audit in-process: a table that misses the multiset's total
+    # dimension (5, not 4) is a ValueError, not a result
+    module = importlib.import_module("spincg.decompose")
+    monkeypatch.setattr(module, "omega_genfunc", lambda spins: OmegaTable((1, 3, 1)))
+    with pytest.raises(ValueError, match=r"inconsistent decomposition of 1/2\^2"):
+        decompose(parse_spins("1/2^2"))
+
+
 def test_omega_table_methods_agree():
     reference = omega_table(WORKED, "genfunc")
     assert omega_table(WORKED, "binomial") == reference
@@ -353,8 +363,12 @@ def test_ten_spin_one():
 
 def test_single_spin():
     single = parse_spins("9/2")
-    for method in METHODS:  # binomial falls back to the difference route
+    for method in METHODS:  # binomial's kernel row is 1, 0, 0, ... for one spin
         assert decompose(single, method).entries == ((9, 1),)
+    for twice_j in range(1, 61):
+        single = SpinMultiset.from_entries({twice_j: 1})
+        for method in METHODS:
+            assert decompose(single, method).entries == ((twice_j, 1),)
 
 
 def test_lambda_binomial_domain():

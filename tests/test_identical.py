@@ -74,6 +74,13 @@ def test_decomposition_examples():
     assert table_as_dict(antisym_decomposition(IdenticalSystem(3, 2))) == {4: 1, 0: 1}
     assert table_as_dict(sym_decomposition(IdenticalSystem(1, 2))) == {2: 1}
     assert table_as_dict(antisym_decomposition(IdenticalSystem(1, 2))) == {0: 1}
+    # the antisymmetric table of (2j, N) is the symmetric table of the
+    # complementary spin 2j + 1 - N, and the singlet alone at N = 2j + 1
+    for twice_j in range(1, 13):
+        for num in range(1, twice_j + 1):
+            assert antisym_decomposition(IdenticalSystem(twice_j, num)) == \
+                sym_decomposition(IdenticalSystem(twice_j + 1 - num, num))
+        assert antisym_decomposition(IdenticalSystem(twice_j, twice_j + 1)).entries == ((0, 1),)
 
 
 def test_exclusion_gives_empty_table():
