@@ -112,5 +112,7 @@ def dice_probability(num_dice: int, total: int) -> Fraction:
     """Probability that num_dice fair six-sided dice sum to total, exactly."""
     if num_dice < 1:
         raise DomainError("dice_probability needs num_dice >= 1")
+    if not num_dice <= total <= 6 * num_dice:
+        return Fraction(0)
     dice = SpinMultiset.from_entries({6: num_dice})
     return Fraction(count_compositions(dice, total), 6**num_dice)

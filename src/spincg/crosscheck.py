@@ -1,14 +1,20 @@
 """The paper's other routes to each quantity, kept as independent cross-checks.
 
-Production computes each quantity by one route, in qpoly and decompose.  The
-tests hold every route here to its production counterpart, and no production
-module imports this one.
+Production computes each quantity by one route, in qpoly, decompose and
+identical.  The tests hold every route here to its production counterpart,
+and no production module imports this one.
 
-* q_factorial and q_binomial_by_division ([a]_q! / ([b]_q! [a-b]_q!), exact
-  division), q_binomial_convolution (nested sums): check qpoly.q_binomial.
+* q_analogue, [n]_q as a polynomial; q_factorial and q_binomial_by_division
+  ([a]_q! / ([b]_q! [a-b]_q!), exact division), q_binomial_convolution
+  (nested sums): check qpoly.q_binomial.
 * phi, phi2_closed and sum_phi_equals_p: counts of partitions into exactly
   nu parts, by nested step sums and a two-part closed form; their sum over
   nu checks qpoly.restricted_partitions.
+* omega_table: the full Omega table by binomial or composition, filled
+  without the palindrome, so it checks omega_genfunc's mirror.
+* sym_genfunc, antisym_genfunc and antisym_omega: identical spins' Gaussian
+  binomials, checking identical's tables; inf_sym_omega and
+  inf_antisym_omega, their spin-infinity limits, check them where 2j >= n.
 * omega_univariate and lambda_univariate: {j^N} by the single alternating
   sum, checking decompose's tables; omega_zero_range and lambda_zero_range,
   their spin-infinity limits, check them wherever 2j >= n.
@@ -21,20 +27,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .decompose import lambda_binomial, omega_binomial
+from .decompose import METHODS, OmegaTable, _alternating_table, _composition_counts
+from .decompose import lambda_binomial, omega_binomial, omega_genfunc
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
-from .qpoly import IntPolynomial, q_analogue, restricted_partitions
+from .identical import IdenticalSystem
+from .qpoly import IntPolynomial, partitions_at_most, q_binomial, restricted_partitions
 from .spins import SpinMultiset
 from .util import binom, heaviside
 
 __all__ = [
+    "q_analogue",
     "q_factorial",
     "q_binomial_by_division",
     "q_binomial_convolution",
     "phi",
     "phi2_closed",
     "sum_phi_equals_p",
+    "omega_table",
+    "sym_genfunc",
+    "antisym_genfunc",
+    "antisym_omega",
+    "inf_sym_omega",
+    "inf_antisym_omega",
     "omega_univariate",
     "lambda_univariate",
     "omega_zero_range",
@@ -42,6 +57,13 @@ __all__ = [
     "omega_univariate_hypergeometric",
     "lambda_univariate_hypergeometric",
 ]
+
+
+def q_analogue(n: int) -> IntPolynomial:
+    """[n]_q = 1 + q + ... + q^(n-1); the q-analogue of the integer n >= 0."""
+    if n < 0:
+        raise DomainError("q_analogue needs n >= 0")
+    return IntPolynomial((1,) * n)
 
 
 def q_factorial(n: int) -> IntPolynomial:
@@ -176,6 +198,69 @@ def sum_phi_equals_p(a: int, b: int, k: int) -> bool:
     """
     total = sum(phi(a, b, nu, k) for nu in range(b + 1))
     return total == restricted_partitions(a - b, b, k)
+
+
+def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
+    """Full Omega table by any of the three methods.
+
+    Binomial (one species walk) and composition (one dynamic program) fill
+    0 .. 2J_0 and check genfunc's mirror.
+    """
+    if method == "genfunc":
+        return omega_genfunc(spins)
+    if method == "binomial":
+        values = _alternating_table(spins.entries, spins.num_spins - 1, spins.twice_j0)
+    elif method == "composition":
+        values = _composition_counts(spins, spins.twice_j0)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return OmegaTable(tuple(values))
+
+
+def sym_genfunc(system: IdenticalSystem) -> IntPolynomial:
+    """Generating function of the symmetric composition, [2j+N choose N]_q."""
+    return q_binomial(system.twice_j + system.count, system.count)
+
+
+def antisym_genfunc(system: IdenticalSystem) -> IntPolynomial:
+    """Generating function of the antisymmetric composition.
+
+    q^(N(N-1)/2) [2j+1 choose N]_q; the zero polynomial when N > 2j + 1
+    (no antisymmetric states exist).
+    """
+    if system.count > system.twice_j + 1:
+        return IntPolynomial()
+    head = (0,) * system.exclusion_shift
+    return IntPolynomial(head + q_binomial(system.twice_j + 1, system.count).coeffs)
+
+
+def antisym_omega(system: IdenticalSystem, n: int) -> int:
+    """Antisymmetric subspace dimension at excitation n.
+
+    p(2j + 1 - N, N, n - N(N-1)/2); zero outside the support and zero
+    everywhere under exclusion.
+    """
+    if system.count > system.twice_j + 1:
+        return 0
+    return restricted_partitions(system.twice_j + 1 - system.count, system.count,
+                                 n - system.exclusion_shift)
+
+
+def inf_sym_omega(num: int, n: int) -> int:
+    """Spin-infinity symmetric dimension: partitions of n into <= N parts."""
+    if num < 1:
+        raise DomainError("inf_sym_omega needs num >= 1")
+    return partitions_at_most(num, n)
+
+
+def inf_antisym_omega(num: int, n: int) -> int:
+    """Spin-infinity antisymmetric dimension.
+
+    The exclusion shift survives the limit: p_N(n - N(N-1)/2).
+    """
+    if num < 1:
+        raise DomainError("inf_antisym_omega needs num >= 1")
+    return partitions_at_most(num, n - num * (num - 1) // 2)
 
 
 def _check_univariate(name: str, twice_j: int, num: int, least: int) -> None:

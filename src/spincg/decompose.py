@@ -18,7 +18,8 @@ binomial formula or from the polynomial (1 - q) * G_Omega.  Every Omega
 table goes through one difference scan, every binomial form through one
 species walk, and decompose audits each result once.  Binomial and
 composition tables each take one pass and cross-check the generating
-function; the tests and the brute-force oracles hold all three to that.
+function; the tests and the brute-force oracles hold all three to that,
+and spincg.crosscheck.omega_table gives their full Omega tables.
 """
 
 from __future__ import annotations
@@ -36,17 +37,14 @@ from .qpoly import IntPolynomial, _q_ratio_product
 from .spins import SpinMultiset, spin_label
 from .util import binom, decimal_writer
 
+# not exported: METHODS; omega_composition, lambda_binomial (bench/layers.py reads them)
 __all__ = [
     "OmegaTable",
     "DecompositionTable",
-    "METHODS",
     "omega_genfunc",
     "omega_binomial",
-    "omega_composition",
-    "omega_table",
     "lambda_from_omega",
     "difference_decomposition",
-    "lambda_binomial",
     "lambda_genfunc",
     "decompose",
 ]
@@ -315,24 +313,6 @@ def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
     return counts
 
 
-def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
-    """Full Omega table by any of the three methods.
-
-    Binomial (one species walk) and composition (one dynamic program), the
-    cross-checks cgd --method selects, fill 0 .. 2J_0 and check genfunc's mirror.
-    """
-    if method == "genfunc":
-        return omega_genfunc(spins)
-    span = spins.twice_j0
-    if method == "binomial":
-        values = _alternating_table(spins.entries, spins.num_spins - 1, span)
-    elif method == "composition":
-        values = _composition_counts(spins, span)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return OmegaTable(tuple(values))
-
-
 def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
     """Multiplicities by first differences of the Omega table, audited.
 
@@ -366,7 +346,7 @@ def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
     """
     half = twice_j0 // 2
     head = list(values[: half + 1])
-    head += [0] * (half + 1 - len(head))
+    head += [0] * (len(head) <= half)  # past one zero, each difference is 0 - 0
     lams = list(map(sub, head, [0] + head))
     kept = map((0).__lt__, lams)
     return DecompositionTable(tuple(compress(zip(range(twice_j0, -1, -2), lams), kept)))
@@ -417,14 +397,15 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
     equal the multiset's.
     """
     twice_j0 = spins.twice_j0
-    if method == "binomial":
+    if method == "genfunc":
+        table = difference_decomposition(omega_genfunc(spins).values, twice_j0)
+    elif method == "binomial":
         lams = _alternating_table(spins.entries, spins.num_spins - 2, spins.distinct_j_count - 1)
         table = DecompositionTable(tuple(zip(range(twice_j0, -1, -2), lams)))
     elif method == "composition":
         table = difference_decomposition(_composition_counts(spins, twice_j0 // 2), twice_j0)
     else:
-        omega = omega_table(spins, method)
-        table = difference_decomposition(omega.values, omega.twice_j0)
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     expected = (spins.total_dimension, spins.twice_jmin)
     if (table.total_dimension, table.twice_jmin) != expected:
         raise ValueError(f"inconsistent decomposition of {spins.canonical()}")

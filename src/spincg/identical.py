@@ -12,7 +12,9 @@ multiplicities are their first differences.  Taking the staircase 0 .. N-1
 off N distinct levels leaves N levels of 2j' = 2j + 1 - N with repeats, so
 the antisymmetric table is the symmetric one of that complementary spin.
 More spins than levels (N > 2j + 1) leave no states: an empty table, the
-library-level face of the Pauli exclusion principle.
+library-level face of the Pauli exclusion principle.  The generating
+functions, single antisymmetric dimensions and spin-infinity limits are
+cross-checks of these tables, in spincg.crosscheck.
 """
 
 from __future__ import annotations
@@ -21,20 +23,10 @@ from dataclasses import dataclass
 
 from .decompose import DecompositionTable, difference_decomposition
 from .errors import DomainError
-from .qpoly import IntPolynomial, _gaussian_coefficients, partitions_at_most
-from .qpoly import q_binomial, restricted_partitions
+from .qpoly import _gaussian_coefficients
 from .spins import SpinMultiset
 
-__all__ = [
-    "IdenticalSystem",
-    "sym_genfunc",
-    "sym_decomposition",
-    "antisym_genfunc",
-    "antisym_omega",
-    "antisym_decomposition",
-    "inf_sym_omega",
-    "inf_antisym_omega",
-]
+__all__ = ["IdenticalSystem", "sym_decomposition", "antisym_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -62,11 +54,6 @@ class IdenticalSystem:
         return self.as_multiset().canonical()
 
 
-def sym_genfunc(system: IdenticalSystem) -> IntPolynomial:
-    """Generating function of the symmetric composition, [2j+N choose N]_q."""
-    return q_binomial(system.twice_j + system.count, system.count)
-
-
 def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     """Irreducible content of the symmetric composition.
 
@@ -85,33 +72,6 @@ def _sym_table(twice_j: int, count: int) -> DecompositionTable:
     return difference_decomposition(omega, twice_j0)
 
 
-def antisym_genfunc(system: IdenticalSystem) -> IntPolynomial:
-    """Generating function of the antisymmetric composition.
-
-    q^(N(N-1)/2) [2j+1 choose N]_q; the zero polynomial when N > 2j + 1
-    (no antisymmetric states exist).
-    """
-    if system.count > system.twice_j + 1:
-        return IntPolynomial()
-    head = (0,) * system.exclusion_shift
-    return IntPolynomial(head + q_binomial(system.twice_j + 1, system.count).coeffs)
-
-
-def antisym_omega(system: IdenticalSystem, n: int) -> int:
-    """Antisymmetric subspace dimension at excitation n.
-
-    p(2j + 1 - N, N, n - N(N-1)/2); zero outside the support and zero
-    everywhere under exclusion.
-    """
-    if system.count > system.twice_j + 1:
-        return 0
-    return restricted_partitions(
-        system.twice_j + 1 - system.count,
-        system.count,
-        n - system.exclusion_shift,
-    )
-
-
 def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     """Irreducible content of the antisymmetric composition.
 
@@ -122,20 +82,3 @@ def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:
     if system.count > system.twice_j + 1:
         return DecompositionTable(())
     return _sym_table(system.twice_j + 1 - system.count, system.count)
-
-
-def inf_sym_omega(num: int, n: int) -> int:
-    """Spin-infinity symmetric dimension: partitions of n into <= N parts."""
-    if num < 1:
-        raise DomainError("inf_sym_omega needs num >= 1")
-    return partitions_at_most(num, n)
-
-
-def inf_antisym_omega(num: int, n: int) -> int:
-    """Spin-infinity antisymmetric dimension.
-
-    The exclusion shift survives the limit: p_N(n - N(N-1)/2).
-    """
-    if num < 1:
-        raise DomainError("inf_antisym_omega needs num >= 1")
-    return partitions_at_most(num, n - num * (num - 1) // 2)

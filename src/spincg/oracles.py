@@ -14,7 +14,9 @@ Each oracle raises DomainError where its fast counterpart does (a negative
 2j, N, a, n or m), then checks its budget, the most states it may
 enumerate (default DEFAULT_MAX_STATES, one million): BudgetExceededError
 comes before any work where the count is known up front, and as the walk
-passes the budget where it is not.
+passes the budget where it is not.  The package exports the oracles the
+oracle verb runs; oracle_qbinom and oracle_restricted_partitions, the
+references for q_binomial and restricted_partitions, are read from here.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from .qpoly import IntPolynomial
 from .spins import SpinMultiset
 from .util import decimal_writer
 
-__all__ = [
-    "DEFAULT_MAX_STATES",
-    "oracle_omega",
-    "oracle_sym",
-    "oracle_antisym",
-    "oracle_qbinom",
-    "oracle_restricted_partitions",
-]
+__all__ = ["oracle_omega", "oracle_sym", "oracle_antisym"]
 
 DEFAULT_MAX_STATES = 10**6
 

@@ -3,7 +3,7 @@
 * IntPolynomial, a dense polynomial in q with int coefficients, as a value:
   coefficients, degree, indexing and rendering.  The q-analogue [n]_q =
   1 + q + ... + q^(n-1) of a spin dimension is the building block of every
-  generating function here.
+  generating function here; spincg.crosscheck.q_analogue builds it.
 * Gaussian binomials [a choose b]_q, the generating functions of symmetric
   and antisymmetric spin compositions.  Their coefficients are the
   restricted partition counts p(n, m, k): partitions of k into at most m
@@ -35,7 +35,6 @@ from .util import decimal_writer
 
 __all__ = [
     "IntPolynomial",
-    "q_analogue",
     "q_binomial",
     "restricted_partitions",
     "partitions_at_most",
@@ -105,13 +104,6 @@ class IntPolynomial:
             sign = ("+ " if c > 0 else "- ") if pieces else ("" if c > 0 else "-")
             pieces.append(sign + body)
         return " ".join(pieces)
-
-
-def q_analogue(n: int) -> IntPolynomial:
-    """[n]_q = 1 + q + ... + q^(n-1); the q-analogue of the integer n >= 0."""
-    if n < 0:
-        raise DomainError("q_analogue needs n >= 0")
-    return IntPolynomial((1,) * n)
 
 
 def _q_ratio_product(pairs: list[tuple[int, int]], top: int) -> list[int]:

@@ -15,27 +15,24 @@ from itertools import product
 from conftest import random_multiset, random_multiset_bounded_dim, table_as_dict
 from spincg import (
     IdenticalSystem,
-    METHODS,
     antisym_decomposition,
-    antisym_omega,
     catalan,
     decompose,
     dice_probability,
-    inf_antisym_omega,
-    inf_sym_omega,
     omega_genfunc,
     oracle_antisym,
     oracle_omega,
-    oracle_qbinom,
     oracle_sym,
     parse_spins,
     q_binomial,
     restricted_partitions,
     riordan,
     sym_decomposition,
-    sym_genfunc,
 )
 from spincg.crosscheck import (
+    antisym_omega,
+    inf_antisym_omega,
+    inf_sym_omega,
     lambda_univariate,
     lambda_univariate_hypergeometric,
     lambda_zero_range,
@@ -46,8 +43,11 @@ from spincg.crosscheck import (
     q_binomial_by_division,
     q_binomial_convolution,
     sum_phi_equals_p,
+    sym_genfunc,
 )
+from spincg.decompose import METHODS
 from spincg.hypergeom import eval_terminating_pfq
+from spincg.oracles import oracle_qbinom
 from spincg.util import binom
 
 

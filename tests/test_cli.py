@@ -445,23 +445,37 @@ def test_missing_stdout_ends_quietly(monkeypatch):
     assert main(["cgd", "--spins", "1/2^2"]) == 0
 
 
+# Inputs whose size alone could exhaust memory or time: argv -> (exit code,
+# stdout, stderr), each run under a 1 GiB address space and 10 s of CPU.
+HOSTILE_ARGVS = [
+    # qbinom's table has 5 * 10^11 coefficients, far past the address space
+    (("qbinom", "--a", "2000000", "--b", "1000000"),
+     (4, "", "error: not enough memory for this job\n")),
+    # Pauli exclusion leaves no states, whatever the span 2J_0 = 10^11 - 1
+    (("oracle", "--j", "1/2", "--num", "99999999999", "--composition", "antisymmetric"),
+     (0, "spins: 1/2^99999999999\ncomposition: antisymmetric\nno states (exclusion)\n", "")),
+    # a sum below the number of dice has probability 0, with no 6^n to build
+    (("dice", "--dice", "99999999999", "--sum", "1"), (0, "0\n", "")),
+]
+
+
 def test_running_out_of_memory_exits_4():
-    # qbinom's table has 5 * 10^11 coefficients, far past a 1 GiB address space
     resource = pytest.importorskip("resource")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     wrapper = "import sys; from spincg.cli import main; sys.exit(main())"
 
-    def limit_address_space():
+    def limit_address_space_and_time():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
 
-    result = subprocess.run(
-        [sys.executable, "-c", wrapper, "qbinom", "--a", "2000000", "--b", "1000000"],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=limit_address_space,
-    )
-    assert (result.returncode, result.stdout) == (4, "")
-    assert result.stderr == "error: not enough memory for this job\n"
+    for argv, expected in HOSTILE_ARGVS:
+        result = subprocess.run(
+            [sys.executable, "-c", wrapper, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=limit_address_space_and_time,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == expected, argv
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -19,28 +19,26 @@ from spincg import (
     DecompositionTable,
     DomainError,
     IntPolynomial,
-    METHODS,
     OmegaTable,
     SpinMultiset,
     decompose,
     difference_decomposition,
-    lambda_binomial,
     lambda_from_omega,
     lambda_genfunc,
     omega_binomial,
-    omega_composition,
     omega_genfunc,
-    omega_table,
     oracle_antisym,
     parse_spins,
-    q_analogue,
 )
 from spincg.crosscheck import (
     lambda_univariate,
     lambda_zero_range,
+    omega_table,
     omega_univariate,
     omega_zero_range,
+    q_analogue,
 )
+from spincg.decompose import METHODS, lambda_binomial, omega_composition
 from spincg.decompose import _composition_counts, _omega_at, _omega_coefficients
 from spincg.qpoly import _q_ratio_product
 from spincg.util import binom
@@ -287,7 +285,7 @@ def test_omega_table_methods_agree():
     assert omega_table(WORKED, "composition") == reference
     with pytest.raises(ValueError):
         omega_table(WORKED, "magic")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
         decompose(WORKED, "magic")
 
 

@@ -12,15 +12,17 @@ from spincg import (
     IdenticalSystem,
     SpinMultiset,
     antisym_decomposition,
-    antisym_genfunc,
-    antisym_omega,
     decompose,
-    inf_antisym_omega,
-    inf_sym_omega,
     oracle_antisym,
     oracle_sym,
     restricted_partitions,
     sym_decomposition,
+)
+from spincg.crosscheck import (
+    antisym_genfunc,
+    antisym_omega,
+    inf_antisym_omega,
+    inf_sym_omega,
     sym_genfunc,
 )
 

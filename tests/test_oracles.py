@@ -13,19 +13,17 @@ from spincg import (
     BudgetExceededError,
     DomainError,
     SpinMultiset,
-    antisym_omega,
     IdenticalSystem,
     omega_genfunc,
     oracle_antisym,
     oracle_omega,
-    oracle_qbinom,
-    oracle_restricted_partitions,
     oracle_sym,
     parse_spins,
     q_binomial,
     restricted_partitions,
-    sym_genfunc,
 )
+from spincg.crosscheck import antisym_omega, sym_genfunc
+from spincg.oracles import oracle_qbinom, oracle_restricted_partitions
 
 TIGHT = 10
 

@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 from spincg import (
     DomainError,
     IntPolynomial,
-    oracle_restricted_partitions,
     partitions_at_most,
-    q_analogue,
     q_binomial,
     restricted_partitions,
 )
@@ -21,11 +19,13 @@ from spincg.crosscheck import (
     _exact_div,
     phi,
     phi2_closed,
+    q_analogue,
     q_binomial_by_division,
     q_binomial_convolution,
     q_factorial,
     sum_phi_equals_p,
 )
+from spincg.oracles import oracle_restricted_partitions
 from spincg.qpoly import _gaussian_coefficients, _packed_gaussian, _q_ratio_product
 from spincg.util import binom
 
