@@ -157,11 +157,15 @@ def _cmd_compose(args: argparse.Namespace) -> str:
 
 
 def _fraction_decimal(value: Fraction, digits: int) -> str:
-    # exact scaling with round half up: floor(x + 1/2) of x = value * scale
-    scale = 10**digits
-    scaled = (2 * value.numerator * scale + value.denominator) // (2 * value.denominator)
-    whole, frac = divmod(scaled, scale)
-    return f"{whole}.{_decimal(frac).zfill(digits)}"
+    # exact scaling with round half up: floor(x + 1/2) of x = value * 10^digits,
+    # one integer // in decimal, linear in digits where int ** and str are not
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    p, q = value.as_integer_ratio()
+    scaled = exact.divide_int(exact.add(exact.scaleb(Decimal(2 * p), digits), q), 2 * q)
+    text = str(scaled).zfill(digits + 1)
+    return f"{text[:-digits]}.{text[-digits:]}"
 
 
 def _cmd_dice(args: argparse.Namespace) -> str:

@@ -9,7 +9,8 @@ isomers, and it counts classical combinatorial objects:
 
 None of these take a closed-form shortcut here; they run through decompose
 itself, which makes them end-to-end integration checks of the core.  The
-closed forms appear only in the test suite as expected values.
+closed forms appear only in the test suite as expected values.  One spin,
+and an odd 2J_0 = r(D-1), have no singlet and return 0 before decompose.
 
 A bounded-composition problem is a spin multiset: d_a parts bounded by n_a
 each are d_a spins of twice-spin n_a, a part is a spin's magnetization
@@ -66,6 +67,8 @@ def isotropic_isomers(dim: int, rank: int) -> int:
     if rank == 0:
         # an empty tensor product is the scalar representation
         return 1
+    if rank == 1 or rank * (dim - 1) % 2:
+        return 0
     return decompose(SpinMultiset.from_entries({dim - 1: rank})).multiplicity(0)
 
 

@@ -339,10 +339,10 @@ def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
     shorter than 2J_0 + 1 (the antisymmetric oracle's, empty under Pauli
     exclusion) needs no padding.  One map(sub, ...) differences kappa = 0 ..
     floor(2J_0 / 2); the positive differences are kept, each at twice_J =
-    2J_0 - 2 kappa.  The one scan for decompose, lambda_from_omega, the
-    symmetric tables and the antisymmetric oracle's (whose support starts
-    above zero); it makes no structural demands on the table, and
-    lambda_from_omega and decompose audit what it returns.
+    2J_0 - 2 kappa.  The one scan for decompose, lambda_from_omega and the
+    antisymmetric oracle's table (whose support starts above zero); it makes
+    no structural demands on the table, and lambda_from_omega and decompose
+    audit what it returns.
     """
     half = twice_j0 // 2
     head = list(values[: half + 1])

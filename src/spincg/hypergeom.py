@@ -2,9 +2,11 @@
 
 A pFq with at least one nonpositive-integer upper parameter is a finite sum;
 with rational parameters every term is rational, so the value is computed
-exactly, without any floating point.  The subspace-dimension and multiplicity
-formulas for identical spins are such series, as are the Catalan and Riordan
-number identities they specialize to; spincg.crosscheck holds the former.
+exactly, without any floating point.  Parameters are ints or Fractions;
+each one is read once, as its integer ratio, with no conversion.
+The subspace-dimension and multiplicity formulas for identical spins are
+such series, as are the Catalan and Riordan number identities they
+specialize to; spincg.crosscheck holds the former.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ def termination_index(uppers: Iterable[Rational]) -> int | None:
     The series terminates after the term of index K, because the Pochhammer
     factor of that parameter vanishes from then on.
     """
-    integers = [-int(u) for u in map(Fraction, uppers) if u <= 0 and u.denominator == 1]
-    return min(integers, default=None)
+    return _termination([u.as_integer_ratio() for u in uppers])
+
+
+def _termination(ratios: list[tuple[int, int]]) -> int | None:
+    # termination_index of parameters read as (p, q), in lowest terms, q > 0
+    return min([-p for p, q in ratios if q == 1 and p <= 0], default=None)
 
 
 def eval_terminating_pfq(
@@ -44,27 +50,25 @@ def eval_terminating_pfq(
     a = p / q, so the terms and their sum are integers over one common
     denominator, with no gcd until the one Fraction at the end.
     """
-    ups = [Fraction(u) for u in uppers]
-    los = [Fraction(b) for b in lowers]
-    stop = termination_index(ups)
+    up_pairs = [a.as_integer_ratio() for a in uppers]
+    lo_pairs = [b.as_integer_ratio() for b in lowers]
+    stop = _termination(up_pairs)
     if stop is None:
         raise DomainError(
             "series does not terminate: no nonpositive-integer upper parameter"
         )
-    pole = termination_index(los)  # the first k at which some b + k = 0
+    pole = _termination(lo_pairs)  # the first k at which some b + k = 0
     if pole is not None and pole < stop:
         raise ZeroDivisionError(
             f"lower parameter {-pole} reaches zero at term {pole + 1} "
             f"before the series terminates at {stop}"
         )
-    up_pairs = [(a.numerator, a.denominator) for a in ups]
-    lo_pairs = [(b.numerator, b.denominator) for b in los]
     up_scale = prod(q for _, q in up_pairs)
     lo_scale = prod(q for _, q in lo_pairs)
     term = total = scale = 1  # t_k = term / scale, partial sum = total / scale
     for k in range(stop):
-        numerator = lo_scale * prod(p + k * q for p, q in up_pairs)
-        denominator = (k + 1) * up_scale * prod(p + k * q for p, q in lo_pairs)
+        numerator = lo_scale * prod([p + k * q for p, q in up_pairs])
+        denominator = (k + 1) * up_scale * prod([p + k * q for p, q in lo_pairs])
         term *= numerator
         scale *= denominator
         total = total * denominator + term

@@ -8,9 +8,10 @@ turns the generating function into a single Gaussian binomial:
     antisymmetric:  G = q^(N(N-1)/2) [2j + 1 choose N]_q
 
 so the subspace dimensions are restricted partition counts and the
-multiplicities are their first differences.  Taking the staircase 0 .. N-1
-off N distinct levels leaves N levels of 2j' = 2j + 1 - N with repeats, so
-the antisymmetric table is the symmetric one of that complementary spin.
+multiplicities are their first differences, the coefficients of
+(1 - q) [2j + N choose N]_q.  Taking the staircase 0 .. N-1 off N distinct
+levels leaves N levels of 2j' = 2j + 1 - N with repeats, so the
+antisymmetric table is the symmetric one of that complementary spin.
 More spins than levels (N > 2j + 1) leave no states: an empty table, the
 library-level face of the Pauli exclusion principle.  The generating
 functions, single antisymmetric dimensions and spin-infinity limits are
@@ -20,8 +21,9 @@ cross-checks of these tables, in spincg.crosscheck.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .decompose import DecompositionTable, difference_decomposition
+from .decompose import DecompositionTable
 from .errors import DomainError
 from .qpoly import _gaussian_coefficients
 from .spins import SpinMultiset
@@ -64,12 +66,12 @@ def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:
 
 
 def _sym_table(twice_j: int, count: int) -> DecompositionTable:
-    # Omega_n is the q^n coefficient of [2j + N choose N]_q.  The differences
-    # run only up to the middle of the span, so one truncated product
-    # supplies every Omega they read.
+    # lambda_kappa is the q^kappa coefficient of (1 - q) [2j + N choose N]_q,
+    # nonnegative up to the middle of the span, where one truncated product
+    # stops; the nonzero ones are kept, each at twice_J = 2J_0 - 2 kappa.
     twice_j0 = twice_j * count
-    omega = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2)
-    return difference_decomposition(omega, twice_j0)
+    lams = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2, differenced=True)
+    return DecompositionTable(tuple(compress(zip(range(twice_j0, -1, -2), lams), lams)))
 
 
 def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:

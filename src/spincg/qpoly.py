@@ -14,10 +14,11 @@ _gaussian_coefficients: a product of q-ratios (1 - q^u) / (1 - q^v)
 truncated at the highest coefficient asked for.  It packs the product into
 one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
-_q_ratio_product on a list; q_binomial mirrors its palindromic lower half.
-decompose also uses _q_ratio_product for Omega tables.  No production
-route multiplies IntPolynomials: their schoolbook product serves only the
-cross-checks in spincg.crosscheck, which hold the other routes.
+_q_ratio_product on a list; q_binomial mirrors its palindromic lower half,
+and spincg.identical asks for its first differences.  decompose also uses
+_q_ratio_product for Omega tables.  No production route multiplies
+IntPolynomials: their schoolbook product serves only the cross-checks in
+spincg.crosscheck, which hold the other routes.
 
 No floats anywhere; coefficients and counts are Python ints.
 """
@@ -126,8 +127,12 @@ def _q_ratio_product(pairs: list[tuple[int, int]], top: int) -> list[int]:
 _WORD = 64  # bits per packed coefficient; memoryview reads them as "Q"
 
 
-def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
+def _gaussian_coefficients(a: int, b: int, top: int, differenced: bool = False) -> list[int]:
     """Coefficients 0..top of [a choose b]_q, for 0 <= b <= a.
+
+    With differenced, those of (1 - q) [a choose b]_q, for top <= b(a-b)/2:
+    up to the middle they are nonnegative (Sylvester's unimodality theorem)
+    and at most the coefficients themselves, so they fit the same words.
 
     prod_{i=1..c} (1 - q^(a-c+i)) / (1 - q^i) with c = min(b, a - b); the
     partial products are the Gaussian binomials [a-c+i choose i]_q.  Both
@@ -145,26 +150,29 @@ def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     the 64-bit words of the residue are exactly the coefficients.
 
     Route rule.  The packed form pays about log2(top / v) full-width passes
-    per denominator where the list pays two passes per factor, so it wins
-    with many factors over short spans.  With top at half the degree, the
-    list/packed time ratio read 1.0-1.9 at top = 4 c^2 for c = 2..12, but
-    0.6-1.0 at top = 16-32 c^2 for c <= 3, where c >= 5 still read 1.1-1.8
-    (medians of 5, CPython 3.11, one KVM core).  So it packs only for
-    top <= 4 c^2, which is conservative from c = 5 on, and the list kernel
-    runs elsewhere.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests
-    c <= 33 first and evaluates comb only where a word can hold it.
+    per denominator where the list pays two passes per factor and one slice
+    per residue class, v per denominator, so it wins with many factors over
+    short spans.  With top at half the degree, the list/packed time ratio
+    read 0.7-1.0 for c = 2 at every top from 2 c^2 to 36 c^2; for c = 3 it
+    read 1.1-1.7 up to 9 c^2 and 1.0 from 16 c^2; for c = 4..6 it read
+    1.1-1.6 at 8-36 c^2 (best of 15, CPython 3.11, one KVM core).  So it
+    packs for top <= c^4, which is 4 c^2 at c = 2 and grows with c, and the
+    list kernel runs elsewhere.  C(2c, c) >= 2^64 from c = 34 on, so the
+    rule tests c <= 33 first and evaluates comb only where a word can hold it.
     """
     c = min(b, a - b)
-    if c <= 33 and top <= 4 * c * c and comb(a, c) < 1 << _WORD:
-        return _packed_gaussian(a - c, c, top)
-    return _q_ratio_product([(a - c + i, i) for i in range(1, min(c, top) + 1)], top)
+    if c <= 33 and top <= c**4 and comb(a, c) < 1 << _WORD:
+        return _packed_gaussian(a - c, c, top, differenced)
+    head = _q_ratio_product([(a - c + i, i) for i in range(1, min(c, top) + 1)], top)
+    return list(map(sub, head, [0] + head)) if differenced else head
 
 
-def _packed_gaussian(offset: int, c: int, top: int) -> list[int]:
+def _packed_gaussian(offset: int, c: int, top: int, differenced: bool = False) -> list[int]:
     # prod_{i=1..c} (1 - X^(offset+i)) / (1 - X^i) mod X^(top+1), X = 2^64.
     # After i factors the product is [offset+i choose i]_q, of degree
     # i*offset, so each factor runs modulo X^(min(top, i*offset)+1) and the
-    # residue carries over exactly to the next, wider modulus.
+    # residue carries over exactly to the next, wider modulus.  That needs
+    # Gaussian partial products, so a differenced product's (1 - X) is last.
     x = 1
     for i in range(1, c + 1):
         end = min(top, i * offset)
@@ -175,6 +183,8 @@ def _packed_gaussian(offset: int, c: int, top: int) -> list[int]:
         while step <= end:
             x = (x + (x << _WORD * step)) & mask
             step += step
+    if differenced:
+        x = (x - (x << _WORD)) & ((1 << _WORD * (top + 1)) - 1)
     words = x.to_bytes((top + 1) * _WORD // 8, sys.byteorder)
     return memoryview(words).cast("Q").tolist()
 

@@ -456,6 +456,13 @@ HOSTILE_ARGVS = [
      (0, "spins: 1/2^99999999999\ncomposition: antisymmetric\nno states (exclusion)\n", "")),
     # a sum below the number of dice has probability 0, with no 6^n to build
     (("dice", "--dice", "99999999999", "--sum", "1"), (0, "0\n", "")),
+    # one spin has no singlet, whatever its dimension, and an odd 2J_0
+    # reaches no integer J, whatever the rank
+    (("isotropic", "--dim", "99999999999", "--rank", "1"), (0, "0\n", "")),
+    (("isotropic", "--dim", "2", "--rank", "99999999999"), (0, "0\n", "")),
+    # three million digits of 1/6, rounded half up, in time linear in them
+    (("dice", "--dice", "2", "--sum", "7", "--digits", "3000000"),
+     (0, "1/6 ≈ 0.1" + "6" * (3000000 - 2) + "7\n", "")),
 ]
 
 

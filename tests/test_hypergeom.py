@@ -23,6 +23,11 @@ def test_termination_index():
     assert termination_index([-3, Fraction(-1, 2), 5]) == 3
     assert termination_index([0, -7]) == 0
     assert termination_index([Fraction(-1, 2), 2]) is None
+    # ints and Fractions mix, an integral Fraction counts, and a one-shot
+    # iterator is read once
+    assert termination_index([Fraction(-4), -6, Fraction(-9, 2), Fraction(0, 5)]) == 0
+    assert termination_index(iter([Fraction(-5, 1), 3, -7, Fraction(-3, 2)])) == 5
+    assert termination_index(u for u in (Fraction(7, 2), -2)) == 2
 
 
 def test_nonterminating_series_rejected():
@@ -56,6 +61,8 @@ def test_equal_parameter_pair_is_inert():
         [-3, Fraction(1, 2), Fraction(7, 4)], [Fraction(5, 3), Fraction(7, 4)]
     )
     assert base == padded
+    # parameters may come as one-shot iterators
+    assert eval_terminating_pfq(iter([-3, Fraction(1, 2)]), (b for b in [Fraction(5, 3)])) == base
 
 
 def test_lower_parameter_zero_is_reported():

@@ -25,6 +25,8 @@ from spincg.crosscheck import (
     inf_sym_omega,
     sym_genfunc,
 )
+from spincg.decompose import difference_decomposition
+from spincg.qpoly import _gaussian_coefficients
 
 
 def test_system_validation():
@@ -83,6 +85,27 @@ def test_decomposition_examples():
             assert antisym_decomposition(IdenticalSystem(twice_j, num)) == \
                 sym_decomposition(IdenticalSystem(twice_j + 1 - num, num))
         assert antisym_decomposition(IdenticalSystem(twice_j, twice_j + 1)).entries == ((0, 1),)
+    # the multiplicities read off (1 - q) [2j + N choose N]_q equal one
+    # difference scan over the Omega table: the antisymmetric one, shifted by
+    # N(N-1)/2 and left empty by exclusion, which also reaches every
+    # symmetric table of 2j + N <= 65 through the complementary spin; and
+    # the symmetric one directly up to 2J_0 = 1200, past the word boundary
+    # C(67, 33), beyond which each table costs milliseconds
+    for twice_j in range(1, 65):
+        for num in range(1, twice_j + 4):
+            system = IdenticalSystem(twice_j, num)
+            twice_j0 = twice_j * num
+            if twice_j0 <= 1200:
+                sym = _gaussian_coefficients(twice_j + num, num, twice_j0 // 2)
+                assert sym_decomposition(system) == \
+                    difference_decomposition(sym, twice_j0), (twice_j, num)
+            anti = []
+            if num <= twice_j + 1:
+                top = twice_j0 // 2 - system.exclusion_shift  # >= 0
+                anti = [0] * system.exclusion_shift + \
+                    _gaussian_coefficients(twice_j + 1, num, top)
+            assert antisym_decomposition(system) == \
+                difference_decomposition(anti, twice_j0), (twice_j, num)
 
 
 def test_exclusion_gives_empty_table():
