@@ -28,6 +28,7 @@ from .errors import BudgetExceededError, DomainError, SpinParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the annotations' names, read by type checkers only
+    import decimal
     from fractions import Fraction
     from types import ModuleType
 
@@ -156,14 +157,21 @@ def _cmd_compose(args: argparse.Namespace) -> str:
     return _decimal(counting.count_compositions(parts, args.n, args.allow_zero))
 
 
+@functools.cache
+def _exact_context() -> decimal.Context:
+    # a decimal context that never rounds, built on the first dice --digits
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _fraction_decimal(value: Fraction, digits: int) -> str:
     # exact scaling with round half up: floor(x + 1/2) of x = value * 10^digits,
     # one integer // in decimal, linear in digits where int ** and str are not
-    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    exact = _exact_context()
     p, q = value.as_integer_ratio()
-    scaled = exact.divide_int(exact.add(exact.scaleb(Decimal(2 * p), digits), q), 2 * q)
+    shifted = exact.scaleb(exact.create_decimal(2 * p), digits)
+    scaled = exact.divide_int(exact.add(shifted, q), 2 * q)
     text = str(scaled).zfill(digits + 1)
     return f"{text[:-digits]}.{text[-digits:]}"
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import sub
 
 from .decompose import DecompositionTable
 from .errors import DomainError
@@ -66,11 +67,13 @@ def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:
 
 
 def _sym_table(twice_j: int, count: int) -> DecompositionTable:
-    # lambda_kappa is the q^kappa coefficient of (1 - q) [2j + N choose N]_q,
-    # nonnegative up to the middle of the span, where one truncated product
-    # stops; the nonzero ones are kept, each at twice_J = 2J_0 - 2 kappa.
+    # Omega_n is the q^n coefficient of [2j + N choose N]_q and lambda_kappa
+    # that of (1 - q) times it, nonnegative up to the middle of the span
+    # (Sylvester's unimodality), where one truncated product stops; the
+    # nonzero ones are kept, each at twice_J = 2J_0 - 2 kappa.
     twice_j0 = twice_j * count
-    lams = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2, differenced=True)
+    omega = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2)
+    lams = list(map(sub, omega, [0] + omega))
     return DecompositionTable(tuple(compress(zip(range(twice_j0, -1, -2), lams), lams)))
 
 

@@ -15,7 +15,7 @@ truncated at the highest coefficient asked for.  It packs the product into
 one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
 _q_ratio_product on a list; q_binomial mirrors its palindromic lower half,
-and spincg.identical asks for its first differences.  decompose also uses
+and spincg.identical differences its half span.  decompose also uses
 _q_ratio_product for Omega tables.  No production route multiplies
 IntPolynomials: their schoolbook product serves only the cross-checks in
 spincg.crosscheck, which hold the other routes.
@@ -127,12 +127,8 @@ def _q_ratio_product(pairs: list[tuple[int, int]], top: int) -> list[int]:
 _WORD = 64  # bits per packed coefficient; memoryview reads them as "Q"
 
 
-def _gaussian_coefficients(a: int, b: int, top: int, differenced: bool = False) -> list[int]:
+def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     """Coefficients 0..top of [a choose b]_q, for 0 <= b <= a.
-
-    With differenced, those of (1 - q) [a choose b]_q, for top <= b(a-b)/2:
-    up to the middle they are nonnegative (Sylvester's unimodality theorem)
-    and at most the coefficients themselves, so they fit the same words.
 
     prod_{i=1..c} (1 - q^(a-c+i)) / (1 - q^i) with c = min(b, a - b); the
     partial products are the Gaussian binomials [a-c+i choose i]_q.  Both
@@ -153,26 +149,27 @@ def _gaussian_coefficients(a: int, b: int, top: int, differenced: bool = False) 
     per denominator where the list pays two passes per factor and one slice
     per residue class, v per denominator, so it wins with many factors over
     short spans.  With top at half the degree, the list/packed time ratio
-    read 0.7-1.0 for c = 2 at every top from 2 c^2 to 36 c^2; for c = 3 it
-    read 1.1-1.7 up to 9 c^2 and 1.0 from 16 c^2; for c = 4..6 it read
-    1.1-1.6 at 8-36 c^2 (best of 15, CPython 3.11, one KVM core).  So it
-    packs for top <= c^4, which is 4 c^2 at c = 2 and grows with c, and the
-    list kernel runs elsewhere.  C(2c, c) >= 2^64 from c = 34 on, so the
-    rule tests c <= 33 first and evaluates comb only where a word can hold it.
+    read 1.0-1.9 at top = 4 c^2 for c = 2..12 (medians of 5); then 0.7-1.0
+    for c = 2 at every top from 2 c^2 to 36 c^2, 1.1-1.7 for c = 3 up to
+    9 c^2 and 1.0 from 16 c^2, and 1.1-1.6 for c = 4..6 at 8-36 c^2 (best
+    of 15; CPython 3.11, one KVM core).  So it packs for top <= c^4 where
+    c = 3..6, which stays inside that grid, and for top <= 4 c^2 elsewhere;
+    c = 1, and c >= 7 past 4 c^2, were not timed.  The list kernel runs
+    beyond.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests c <= 33
+    first and evaluates comb only where a word can hold it.
     """
     c = min(b, a - b)
-    if c <= 33 and top <= c**4 and comb(a, c) < 1 << _WORD:
-        return _packed_gaussian(a - c, c, top, differenced)
-    head = _q_ratio_product([(a - c + i, i) for i in range(1, min(c, top) + 1)], top)
-    return list(map(sub, head, [0] + head)) if differenced else head
+    limit = c**4 if 3 <= c <= 6 else 4 * c * c
+    if c <= 33 and top <= limit and comb(a, c) < 1 << _WORD:
+        return _packed_gaussian(a - c, c, top)
+    return _q_ratio_product([(a - c + i, i) for i in range(1, min(c, top) + 1)], top)
 
 
-def _packed_gaussian(offset: int, c: int, top: int, differenced: bool = False) -> list[int]:
+def _packed_gaussian(offset: int, c: int, top: int) -> list[int]:
     # prod_{i=1..c} (1 - X^(offset+i)) / (1 - X^i) mod X^(top+1), X = 2^64.
     # After i factors the product is [offset+i choose i]_q, of degree
     # i*offset, so each factor runs modulo X^(min(top, i*offset)+1) and the
-    # residue carries over exactly to the next, wider modulus.  That needs
-    # Gaussian partial products, so a differenced product's (1 - X) is last.
+    # residue carries over exactly to the next, wider modulus.
     x = 1
     for i in range(1, c + 1):
         end = min(top, i * offset)
@@ -183,8 +180,6 @@ def _packed_gaussian(offset: int, c: int, top: int, differenced: bool = False) -
         while step <= end:
             x = (x + (x << _WORD * step)) & mask
             step += step
-    if differenced:
-        x = (x - (x << _WORD)) & ((1 << _WORD * (top + 1)) - 1)
     words = x.to_bytes((top + 1) * _WORD // 8, sys.byteorder)
     return memoryview(words).cast("Q").tolist()
 

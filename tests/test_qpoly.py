@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from itertools import combinations
 
 import pytest
@@ -183,27 +182,22 @@ def list_gaussian(a: int, b: int, top: int) -> list[int]:
 
 def test_packed_gaussian_matches_list_kernel():
     # every b <= a <= 70 whose coefficients fit a word, at full degree, at
-    # half span, at short spans, at 4c^2, and on both sides of the route
-    # rule top <= c^4.  The packed kernel is called directly, so it is checked
-    # where the rule would not pick it too.  Truncation commutes with the
-    # product, so every top is checked against a prefix of the full list,
-    # mirrored from the list kernel's half span.  The differenced product,
-    # (1 - q) times it, is checked at half span on both routes, and on the
-    # list route past the word boundary too.
+    # half span, at short spans, and on both sides of the route rule's
+    # limits 4c^2 and c^4 (the latter in force for c = 3..6).  The packed
+    # kernel is called directly, so it is checked where the rule would not
+    # pick it too.  Truncation commutes with the product, so every top is
+    # checked against a prefix of the full list, mirrored from the list
+    # kernel's half span.
     packed = 0
     for a in range(71):
         for b in range(a + 1):
             c = min(b, a - b)
+            if math.comb(a, c) >= 1 << 64:
+                continue
             degree = b * (a - b)
             half = list_gaussian(a, b, degree // 2)
             full = half + half[: (degree + 1) // 2][::-1]  # palindromic
             assert sum(full) == math.comb(a, b)
-            diffs = list(map(operator.sub, full, [0] + full))[: degree // 2 + 1]
-            got = _gaussian_coefficients(a, b, degree // 2, differenced=True)
-            assert got == diffs, (a, b)
-            if math.comb(a, c) >= 1 << 64:
-                continue
-            assert _packed_gaussian(a - c, c, degree // 2, differenced=True) == diffs, (a, b)
             full.append(0)  # for top = 1 > degree = 0
             for top in {0, 1, degree // 2, degree}:
                 assert _packed_gaussian(a - c, c, top) == full[: top + 1], (a, b, top)
@@ -234,22 +228,24 @@ def test_word_boundary():
             if top == degree:
                 assert sum(got) == math.comb(a, b)
                 assert got == list(q_binomial(a, b).coeffs)
-    # within the rule's other limits (c <= 33, top <= c^4), but with middle
+    # within the rule's other limits (c <= 33, top <= 4c^2), but with middle
     # coefficients past a word: these must take the list kernel
     for a, b in ((100, 33), (80, 30)):
         top = b * (a - b) // 2
         got = _gaussian_coefficients(a, b, top)
-        assert top <= b**4 and max(got) >= 1 << 64
+        assert top <= 4 * b * b and max(got) >= 1 << 64
         assert got == list_gaussian(a, b, top)
 
 
 def test_restricted_partitions_match_oracle_at_the_route_rule():
-    # c = min(n, m); k up to c^4 packs and k past it takes the list kernel
-    # (both below nm / 2, where k is read as it is); nm - k folds back to k
-    for n, m in ((2, 40), (3, 60), (60, 3)):
-        c = min(n, m)
-        assert c**4 + 2 < n * m / 2
-        for k in range(c**4 - 1, c**4 + 3):
+    # c = min(n, m); k around the route rule's limit (4c^2, or c^4 for
+    # c = 3..6), past which the list kernel runs, and around 4c^2 for
+    # c = 3, 4, where both sides pack; all below nm / 2, where k is read as
+    # it is; nm - k folds back to k
+    for n, m, limit in ((2, 40, 16), (3, 40, 36), (40, 3, 36), (4, 40, 64),
+                        (3, 60, 81), (60, 3, 81)):
+        assert limit + 2 < n * m / 2
+        for k in range(limit - 1, limit + 3):
             assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
             assert restricted_partitions(n, m, n * m - k) == restricted_partitions(n, m, k)
 
