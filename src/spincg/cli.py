@@ -1,13 +1,13 @@
 """Command line interface.
 
-One verb per capability; every number printed is exact.  Each handler
-returns the full text of its answer and main writes it once.  Exit codes:
-0 success, 2 parse/usage error, 3 domain error, 4 enumeration budget
-exceeded or out of memory.  argparse exits 2 on usage errors, and a
-MemoryError 4; every other nonzero code is the exit_code of the
-spincg.errors class raised.  A plain argv is read
-from the verb table that builds the argparse tree; help and usage errors
-come from argparse.  JSON output is canonical: fixed key order, big
+One verb per capability; every number printed is exact, written in full by
+spincg.util.decimal_text.  Each handler returns the full text of its
+answer and main writes it once.  Exit codes: 0 success, 2 parse/usage
+error, 3 domain error, 4 enumeration budget exceeded or out of memory.
+argparse exits 2 on usage errors, and a MemoryError 4; every other nonzero
+code is the exit_code of the spincg.errors class raised.  A plain argv is
+read from the verb table that builds the argparse tree; help and usage
+errors come from argparse.  JSON output is canonical: fixed key order, big
 integers as decimal strings, rendered by json.dumps with default
 separators, so a parse-and-reserialize round trip is byte identical.
 
@@ -54,7 +54,7 @@ def _module(name: str) -> ModuleType:
 
 
 def _decimal(n: int) -> str:
-    return _module("util").decimal_writer(n)(n)
+    return _module("util").decimal_text(n)
 
 
 def _decomposition_text(
@@ -71,9 +71,8 @@ def _decomposition_text(
     if not table:
         lines.append("no states (exclusion)")
     else:
-        write = _module("util").decimal_writer(table.total_dimension)
-        lines.append(f"total dimension: {write(table.total_dimension)}")
-        lines.extend(f"J = {spin_label(tj)}: {write(mult)}" for tj, mult in table.entries)
+        lines.append(f"total dimension: {_decimal(table.total_dimension)}")
+        lines.extend(f"J = {spin_label(tj)}: {_decimal(mult)}" for tj, mult in table.entries)
     return "\n".join(lines)
 
 
@@ -106,8 +105,7 @@ def _cmd_omega(args: argparse.Namespace) -> str:
         doc.update(n=args.n, omega=text)
     else:
         table = _module("decompose").omega_genfunc(spins)
-        write = _module("util").decimal_writer(spins.total_dimension)
-        doc.update(twice_J0=table.twice_j0, omega=list(map(write, table.values)))
+        doc.update(twice_J0=table.twice_j0, omega=list(map(_decimal, table.values)))
         text = f"spins: {doc['spins']}\nomega: {' '.join(doc['omega'])}"
     if args.format == "json":
         import json
@@ -194,7 +192,7 @@ def _cmd_sequence(args: argparse.Namespace) -> str:
         raise DomainError("--count must be >= 0")
     term = getattr(_module("counting"), args.term)
     values = [term(v) for v in range(args.count)]
-    return " ".join(map(_module("util").decimal_writer(max(values, default=0)), values))
+    return " ".join(map(_decimal, values))
 
 
 def _cmd_isotropic(args: argparse.Namespace) -> str:
@@ -371,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     A plain argv is read from the verb table that builds the tree; the rest
     goes to argparse.  The interpreter's int/str digit cap, which is
     process-wide, stays as it is: handlers write every number through
-    spincg.util.decimal_writer, which has no limit.
+    spincg.util.decimal_text, which has no limit.
     """
     try:
         args = _plain_args(argv) or _parser().parse_args(argv)

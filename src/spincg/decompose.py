@@ -35,7 +35,7 @@ from operator import add, itemgetter, mul, sub
 from .errors import DomainError
 from .qpoly import IntPolynomial, _q_ratio_product
 from .spins import SpinMultiset, spin_label
-from .util import binom, decimal_writer
+from .util import binom, decimal_text
 
 # not exported: METHODS; omega_composition, lambda_binomial (bench/layers.py reads them)
 __all__ = [
@@ -137,10 +137,9 @@ class DecompositionTable:
             doc["composition"] = composition
         doc["twice_J0"] = self.entries[0][0] if self.entries else None
         doc["twice_Jm"] = self.entries[-1][0] if self.entries else None
-        write = decimal_writer(self.total_dimension)  # bounds every multiplicity
-        doc["total_dimension"] = write(self.total_dimension)
+        doc["total_dimension"] = decimal_text(self.total_dimension)
         doc["terms"] = [
-            {"twice_J": tj, "J": spin_label(tj), "multiplicity": write(mult)}
+            {"twice_J": tj, "J": spin_label(tj), "multiplicity": decimal_text(mult)}
             for tj, mult in self.entries
         ]
         return doc

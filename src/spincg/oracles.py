@@ -28,29 +28,38 @@ from .decompose import OmegaTable
 from .errors import BudgetExceededError, DomainError
 from .qpoly import IntPolynomial
 from .spins import SpinMultiset
-from .util import decimal_writer
+from .util import decimal_text
 
 __all__ = ["oracle_omega", "oracle_sym", "oracle_antisym"]
 
 DEFAULT_MAX_STATES = 10**6
+_EXACT_BITS = 1 << 16  # past every count a test pins, the largest 3^20000 (31,700 bits)
 
 
-def _require(budget: int, states: int, call: str, *args) -> None:
-    """Raise BudgetExceededError when states is over the budget.
+def _comb_bits(n: int, k: int) -> int:
+    """A lower bound on log2 C(n, k), 0 <= k <= n: C(n, k) >= (n // k)^k for k <= n - k."""
+    k = min(k, n - k)
+    return k * ((n // k).bit_length() - 1) if k else 0
 
-    call.format(*args) names the oracle call in the message, which is built
-    only then.  Its numbers are written for the largest magnitude among
-    states, the budget and the int arguments: with a budget below 1, an
-    argument can be far larger than the state count.
+
+def _require(budget: int, floor_bits: int, count, call: str, *args) -> None:
+    """Raise BudgetExceededError when count(), the state count, is over the budget.
+
+    The count is at least 2^floor_bits: past both the budget's bit length
+    and _EXACT_BITS, that settles it before count() is built.  call.format(*args)
+    names the oracle call in the message, which is built only then.
     """
-    if states > budget:
-        numbers = [v for v in args if isinstance(v, int)] + [states, budget]
-        write = decimal_writer(max(map(abs, numbers)))
-        args = (write(v) if isinstance(v, int) else v for v in args)
-        raise BudgetExceededError(
-            f"{call.format(*args)} needs {write(states)} states, "
-            f"over the budget of {write(budget)}"
-        )
+    if floor_bits > max(budget.bit_length(), _EXACT_BITS):
+        needs = f"at least 2^{decimal_text(floor_bits)}"
+    else:
+        states = count()
+        if states <= budget:
+            return
+        needs = decimal_text(states)
+    args = (decimal_text(v) if isinstance(v, int) else v for v in args)
+    raise BudgetExceededError(
+        f"{call.format(*args)} needs {needs} states, over the budget of {decimal_text(budget)}"
+    )
 
 
 def _histogram(states, top: int, shift: int = 0) -> tuple[int, ...]:
@@ -69,7 +78,8 @@ def oracle_omega(
     A state is one level n_i in 0 .. 2j_i per spin, an integer composition
     of its level sum: the Cartesian product of the level ranges.
     """
-    _require(budget, spins.total_dimension, "oracle_omega({})", spins)
+    floor_bits = sum(mult * ((twice_j + 1).bit_length() - 1) for twice_j, mult in spins.entries)
+    _require(budget, floor_bits, lambda: spins.total_dimension, "oracle_omega({})", spins)
     levels = [range(twice_j + 1) for twice_j in spins.twice_spins]
     return OmegaTable(_histogram(product(*levels), spins.twice_j0))
 
@@ -84,8 +94,9 @@ def oracle_sym(
     """
     if twice_j < 0 or count < 0:
         raise DomainError("oracle_sym needs 2j >= 0 and N >= 0")
-    states = math.comb(twice_j + count, count)
-    _require(budget, states, "oracle_sym(2j={}, N={})", twice_j, count)
+    _require(budget, _comb_bits(twice_j + count, count),
+             lambda: math.comb(twice_j + count, count),
+             "oracle_sym(2j={}, N={})", twice_j, count)
     levels = combinations_with_replacement(range(twice_j + 1), count)
     return OmegaTable(_histogram(levels, twice_j * count))
 
@@ -103,8 +114,8 @@ def oracle_antisym(
         raise DomainError("oracle_antisym needs 2j >= 0 and N >= 0")
     if count > twice_j + 1:
         return OmegaTable(())
-    states = math.comb(twice_j + 1, count)
-    _require(budget, states, "oracle_antisym(2j={}, N={})", twice_j, count)
+    _require(budget, _comb_bits(twice_j + 1, count), lambda: math.comb(twice_j + 1, count),
+             "oracle_antisym(2j={}, N={})", twice_j, count)
     levels = combinations(range(twice_j + 1), count)
     return OmegaTable(_histogram(levels, sum(range(twice_j + 1 - count, twice_j + 1))))
 
@@ -120,7 +131,7 @@ def oracle_qbinom(
         raise DomainError("oracle_qbinom needs a >= 0")
     if b < 0 or b > a:
         return IntPolynomial()
-    _require(budget, math.comb(a, b), "oracle_qbinom({}, {})", a, b)
+    _require(budget, _comb_bits(a, b), lambda: math.comb(a, b), "oracle_qbinom({}, {})", a, b)
     shift = b * (b + 1) // 2
     subsets = combinations(range(1, a + 1), b)
     return IntPolynomial(_histogram(subsets, shift + b * (a - b), shift))
@@ -157,10 +168,9 @@ def oracle_restricted_partitions(
             continue
         visited += 1
         if visited > budget:
-            numbers = n, m, k, budget
             raise BudgetExceededError(
                 "oracle_restricted_partitions({}, {}, {}) passed {} enumeration steps"
-                .format(*map(decimal_writer(max(map(abs, numbers))), numbers))
+                .format(*map(decimal_text, (n, m, k, budget)))
             )
         remaining, cap, slots = node
         if remaining == 0:

@@ -32,7 +32,7 @@ from math import comb
 from operator import sub
 
 from .errors import DomainError
-from .util import decimal_writer
+from .util import decimal_text
 
 __all__ = [
     "IntPolynomial",
@@ -88,17 +88,16 @@ class IntPolynomial:
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients as decimal strings, for JSON output."""
-        return list(map(decimal_writer(max(map(abs, self.coeffs), default=0)), self.coeffs))
+        return list(map(decimal_text, self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         pieces: list[str] = []
-        write = decimal_writer(max(map(abs, self.coeffs)))
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            body = mag = write(abs(c))
+            body = mag = decimal_text(abs(c))
             if k:
                 power = "q" if k == 1 else f"q^{k}"
                 body = power if mag == "1" else f"{mag} {power}"

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, SpinParseError
-from .util import decimal_writer, heaviside
+from .util import decimal_text, heaviside
 
 __all__ = ["SpinMultiset", "parse_spins", "parse_spin_token", "spin_label"]
 
@@ -31,11 +31,7 @@ _ITEM_RE = re.compile(r"^(\d+)(?:/(\d+))?(?:\^(\d+))?$")
 
 def spin_label(twice_j: int) -> str:
     """Human form of a twice-spin: 4 -> "2", 9 -> "9/2"."""
-    try:
-        return f"{twice_j}/2" if twice_j % 2 else str(twice_j // 2)
-    except ValueError:  # past the interpreter's int/str digit cap
-        write = decimal_writer(twice_j)
-        return f"{write(twice_j)}/2" if twice_j % 2 else write(twice_j // 2)
+    return f"{decimal_text(twice_j)}/2" if twice_j % 2 else decimal_text(twice_j // 2)
 
 
 def parse_spin_token(token: str) -> int:
@@ -172,10 +168,7 @@ class SpinMultiset:
         parts = []
         for twice_j, mult in self.entries:
             label = spin_label(twice_j)
-            try:
-                parts.append(label if mult == 1 else f"{label}^{mult}")
-            except ValueError:  # past the interpreter's int/str digit cap
-                parts.append(f"{label}^{decimal_writer(mult)(mult)}")
+            parts.append(label if mult == 1 else f"{label}^{decimal_text(mult)}")
         return ",".join(parts)
 
     def __str__(self) -> str:

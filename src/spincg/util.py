@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 
 def heaviside(x: int) -> int:
@@ -32,12 +31,11 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def decimal_writer(bound: int) -> Callable[[int], str]:
-    """The writer of ints up to bound in magnitude as decimal text: str, or past
-    the interpreter's int/str digit cap, str of an exact, uncapped Decimal."""
+def decimal_text(n: int) -> str:
+    """n as decimal text: str(n), or past the interpreter's int/str digit cap,
+    str of an exact, uncapped Decimal."""
     try:
-        str(bound)
+        return str(n)
     except ValueError:
         from decimal import Decimal
-        return lambda n: str(Decimal(n))
-    return str
+        return str(Decimal(n))

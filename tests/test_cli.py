@@ -463,6 +463,18 @@ HOSTILE_ARGVS = [
     # three million digits of 1/6, rounded half up, in time linear in them
     (("dice", "--dice", "2", "--sum", "7", "--digits", "3000000"),
      (0, "1/6 ≈ 0.1" + "6" * (3000000 - 2) + "7\n", "")),
+    # oracle counts far past the budget are bounded below from bit lengths,
+    # never built nor written: 3^(10^11), C(199999999999, 99999) and 3^300000
+    (("oracle", "--spins", "1^99999999999"),
+     (4, "", "error: oracle_omega(1^99999999999) needs at least 2^99999999999 states, "
+             "over the budget of 1000000\n")),
+    (("oracle", "--j", "99999999999", "--num", "99999", "--composition", "antisymmetric",
+      "--budget", "10"),
+     (4, "", "error: oracle_antisym(2j=199999999998, N=99999) needs at least 2^1999980 "
+             "states, over the budget of 10\n")),
+    (("oracle", "--spins", "1^300000", "--budget", "10"),
+     (4, "", "error: oracle_omega(1^300000) needs at least 2^300000 states, "
+             "over the budget of 10\n")),
 ]
 
 

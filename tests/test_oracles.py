@@ -166,7 +166,7 @@ def default_digit_cap():
         sys.set_int_max_str_digits(previous)
 
 
-def test_budget_message_past_the_int_digit_cap(default_digit_cap):
+def test_budget_message_past_the_int_digit_cap(default_digit_cap, digit_cap):
     # 3^20000 has 9,543 digits, past the cap; the overrun must still be a
     # BudgetExceededError carrying the whole count
     with pytest.raises(BudgetExceededError) as caught:
@@ -175,6 +175,14 @@ def test_budget_message_past_the_int_digit_cap(default_digit_cap):
     message = str(caught.value)
     assert message.startswith(head + "2661303427") and message.endswith("0001" + tail)
     assert len(message) == len(head) + 9543 + len(tail)
+    # numbers either side of the smallest cap CPython accepts: each is
+    # written for itself
+    digit_cap(640)
+    with pytest.raises(BudgetExceededError) as caught:
+        oracle_sym(10**640, 1, budget=10**639)
+    zeros = "0" * 639
+    assert str(caught.value) == (
+        f"oracle_sym(2j=1{zeros}0, N=1) needs 1{zeros}1 states, over the budget of 1{zeros}")
 
 
 def test_budget_messages_name_each_call_in_full(default_digit_cap):
@@ -206,11 +214,30 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
          "oracle_qbinom(30, 15) needs 155117520 states, over the budget of 10"),
         (lambda: oracle_omega(parse_spins("1/2,3^2"), budget=TIGHT),
          "oracle_omega(1/2,3^2) needs 98 states, over the budget of 10"),
+        # counts far past the budget are bounded below, never built:
+        # C(1100000, 100000) >= 11^100000, C(2000000, 1000001) >= 2^999999
+        (lambda: oracle_sym(10**6, 10**5, budget=TIGHT),
+         "oracle_sym(2j=1000000, N=100000) needs at least 2^300000 states, "
+         "over the budget of 10"),
+        (lambda: oracle_qbinom(2 * 10**6, 10**6 + 1, budget=TIGHT),
+         "oracle_qbinom(2000000, 1000001) needs at least 2^999999 states, "
+         "over the budget of 10"),
     ]
     for call, message in cases:
         with pytest.raises(BudgetExceededError) as caught:
             call()
         assert str(caught.value) == message
+
+
+def test_budget_past_the_count_floor_gets_the_exact_count(digit_cap):
+    # the floor 2^70000 is past the fixed size but not past this budget's
+    # 70,000 bits, so the count 2^70000 is built and written exactly
+    digit_cap(0)
+    power, budget = str(2**70000), str(2**70000 - 1)
+    with pytest.raises(BudgetExceededError) as caught:
+        oracle_qbinom(2**70000, 1, budget=2**70000 - 1)
+    assert str(caught.value) == (
+        f"oracle_qbinom({power}, 1) needs {power} states, over the budget of {budget}")
 
 
 def test_fast_paths_match_enumeration():

@@ -117,6 +117,10 @@ def test_canonical_rendering(digit_cap):
     big = "1" + "0" * 5000
     huge = SpinMultiset(((2 * 10**5000, 1), (2 * 10**5000 + 1, 10**5000)))
     assert huge.canonical() == f"{big},2{big[2:]}1/2^{big}"
+    # numbers either side of the cap: each is written for itself
+    digit_cap(640)  # the smallest cap CPython accepts
+    straddle = SpinMultiset(((2 * 10**639, 10**640), (2 * 10**640 + 1, 7)))
+    assert straddle.canonical() == f"1{'0' * 639}^1{'0' * 640},2{'0' * 639}1/2^7"
 
 
 def test_multiset_validation():
