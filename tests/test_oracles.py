@@ -166,7 +166,7 @@ def default_digit_cap():
         sys.set_int_max_str_digits(previous)
 
 
-def test_budget_message_past_the_int_digit_cap(default_digit_cap, digit_cap):
+def test_budget_message_past_the_int_digit_cap(default_digit_cap):
     # 3^20000 has 9,543 digits, past the cap; the overrun must still be a
     # BudgetExceededError carrying the whole count
     with pytest.raises(BudgetExceededError) as caught:
@@ -175,6 +175,9 @@ def test_budget_message_past_the_int_digit_cap(default_digit_cap, digit_cap):
     message = str(caught.value)
     assert message.startswith(head + "2661303427") and message.endswith("0001" + tail)
     assert len(message) == len(head) + 9543 + len(tail)
+
+
+def test_budget_message_straddling_the_smallest_digit_cap(digit_cap):
     # numbers either side of the smallest cap CPython accepts: each is
     # written for itself
     digit_cap(640)
