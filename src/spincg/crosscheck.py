@@ -316,47 +316,24 @@ def lambda_zero_range(num: int, kappa: int) -> int:
     return binom(num + kappa - 2, kappa)
 
 
-def _reduced_parameters(
-    extra_upper: Fraction,
-    family_uppers: list[Fraction],
-    family_lowers: list[Fraction],
-    gap: int,
-) -> tuple[list[Fraction], list[Fraction]]:
-    # The upper/lower families satisfy family_uppers[i] ==
-    # family_lowers[i + gap]; such a pair cancels from the series term by
-    # term, except when it carries the termination index K itself: dropping
-    # the upper parameter -K would lengthen the sum and change its value,
-    # so that pair stays in place (it is harmless, its ratio is 1 on every
-    # surviving term).
-    uppers = [extra_upper, *family_uppers]
-    lowers = list(family_lowers)
-    k_active = termination_index(uppers)
-    for i in range(len(family_uppers) - gap):
-        value = family_uppers[i]
-        if value != family_lowers[i + gap]:
-            raise ValueError(f"parameter families do not pair at offset {gap}")
-        if (
-            value.denominator == 1
-            and value <= 0
-            and -value == k_active
-            and uppers.count(value) == 1
-        ):
-            continue
-        uppers.remove(value)
-        lowers.remove(value)
-    return uppers, lowers
-
-
 def _univariate_hypergeometric(twice_j: int, num: int, n: int, top: int) -> Fraction:
     # The series of omega_univariate_hypergeometric with n and pair offset
     # top: N - 1 for Omega_n, N - 2 for lambda_kappa, as in the binomial forms.
+    # Upper i, -(n - i)/(2j+1), equals lower i + top, so the pairs with
+    # i < 2j + 1 - top cancel term by term, except the one whose upper is
+    # -K, K the termination index: when no other upper carries K, dropping
+    # -K would lengthen the sum and change its value, so that pair stays
+    # (its ratio is 1 on every surviving term).  -N is always an upper, so
+    # K exists.
     modulus = twice_j + 1
-    family_uppers = [Fraction(-(n - i), modulus) for i in range(modulus)]
-    family_lowers = [Fraction(-(top + n - i), modulus) for i in range(modulus)]
-    uppers, lowers = _reduced_parameters(
-        Fraction(-num), family_uppers, family_lowers, top
+    cut = max(modulus - top, 0)
+    family = [Fraction(i - n, modulus) for i in range(modulus)]
+    stop = -termination_index([-num, *family])
+    kept = [stop] if stop in family[:cut] else []
+    lowers = [Fraction(i - top - n, modulus) for i in range(min(top, modulus))]
+    return binom(top + n, n) * eval_terminating_pfq(
+        [-num, *family[cut:], *kept], lowers + kept
     )
-    return binom(top + n, n) * eval_terminating_pfq(uppers, lowers)
 
 
 def omega_univariate_hypergeometric(twice_j: int, num: int, n: int) -> Fraction:

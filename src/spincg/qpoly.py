@@ -152,10 +152,15 @@ def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     for c = 2 at every top from 2 c^2 to 36 c^2, 1.1-1.7 for c = 3 up to
     9 c^2 and 1.0 from 16 c^2, and 1.1-1.6 for c = 4..6 at 8-36 c^2 (best
     of 15; CPython 3.11, one KVM core).  So it packs for top <= c^4 where
-    c = 3..6, which stays inside that grid, and for top <= 4 c^2 elsewhere;
-    c = 1, and c >= 7 past 4 c^2, were not timed.  The list kernel runs
-    beyond.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests c <= 33
-    first and evaluates comb only where a word can hold it.
+    c = 3..6, which stays inside that grid, and for top <= 4 c^2 elsewhere.
+    c^4 does not carry on past c = 6: at tops from 4 c^2 to c^4 the ratio
+    read 1.4-2.3 with top at half the degree for c = 7..14, but down to
+    0.77-0.88 for c = 7..10 at the largest a a word allows, where top is a
+    short span (medians of 21 alternating runs, CPython 3.11.7).  No
+    c >= 15 has such a top at or below half the degree.  c = 1 read 1.1-1.5
+    at every top up to 8, and c = 2 read 1.0 at 8 c^2.  The list kernel
+    runs beyond.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests
+    c <= 33 first and evaluates comb only where a word can hold it.
     """
     c = min(b, a - b)
     limit = c**4 if 3 <= c <= 6 else 4 * c * c

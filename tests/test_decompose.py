@@ -179,7 +179,14 @@ def test_omega_recurrence_rejects_an_inexact_step():
     # stops on a wrong coefficient.  Off(100) is a multiplicity of 100 whose
     # species weight d * Off(100) comes out one too large (int calls a
     # subclass's __rmul__ first), so 3 Omega_3 = 100 * 5151 - 301 is not a
-    # multiple of 3.
+    # multiple of 3.  The same case runs in-process first, then in the
+    # subprocess.
+    class Off(int):
+        def __rmul__(self, other):
+            return int(self) * other + 1
+
+    with pytest.raises(ArithmeticError, match="inexact step at n=3"):
+        list(_omega_coefficients(((2, Off(100)),), 50))
     script = (
         "import importlib, sys\n"
         "assert False, 'asserts are on'\n"

@@ -9,7 +9,6 @@ import pytest
 
 from spincg import DomainError, catalan, riordan
 from spincg.crosscheck import (
-    _reduced_parameters,
     lambda_univariate,
     lambda_univariate_hypergeometric,
     omega_univariate,
@@ -135,6 +134,11 @@ def test_omega_univariate_hypergeometric_matches():
                 value = omega_univariate_hypergeometric(twice_j, num, n)
                 assert value == expected, (twice_j, num, n)
     assert omega_univariate_hypergeometric(1, 2, -1) == 0
+    # the cancellable pair (-1, -1) carries K = 1 alone, so it stays (see
+    # test_fully_cancelled_form_would_be_wrong); past the table at n = 2, K
+    # is carried by -N too, and the kept pair is inert
+    assert omega_univariate_hypergeometric(2, 2, 4) == 1
+    assert omega_univariate_hypergeometric(1, 1, 2) == 0 == omega_univariate(1, 1, 2)
 
 
 def test_lambda_univariate_hypergeometric_matches():
@@ -147,6 +151,11 @@ def test_lambda_univariate_hypergeometric_matches():
                 expected = lambda_univariate(twice_j, num, kappa)
                 value = lambda_univariate_hypergeometric(twice_j, num, kappa)
                 assert value == expected, (twice_j, num, kappa)
+    # cancellable pairs that carry K alone and stay: (-1, -1) with K = 1,
+    # and (-2, -2) with K = 2
+    for twice_j, num, kappa, want in ((2, 3, 3, 1), (4, 5, 10, 16)):
+        assert lambda_univariate_hypergeometric(twice_j, num, kappa) == want
+        assert lambda_univariate(twice_j, num, kappa) == want
 
 
 def test_univariate_domain_checks():
@@ -201,15 +210,3 @@ def test_riordan_identity():
         value = binom(2 * v - 2, v) * eval_terminating_pfq(uppers, lowers)
         assert value == riordan(v), v
 
-
-def test_reduced_parameters_reject_unpaired_families():
-    # each upper parameter must meet its lower partner gap places on; the
-    # check is a raise, so python -O keeps it
-    uppers = [Fraction(-1, 3), Fraction(-2, 3)]
-    paired = [Fraction(-4, 3), *uppers]
-    assert _reduced_parameters(Fraction(-2), uppers, paired, 1) == (
-        [Fraction(-2), Fraction(-2, 3)], [Fraction(-4, 3), Fraction(-2, 3)]
-    )
-    unpaired = [Fraction(-4, 3), Fraction(-5, 3), uppers[1]]
-    with pytest.raises(ValueError, match="do not pair"):
-        _reduced_parameters(Fraction(-2), uppers, unpaired, 1)

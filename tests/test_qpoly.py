@@ -207,6 +207,15 @@ def test_packed_gaussian_matches_list_kernel():
                     assert _packed_gaussian(a - c, c, top) == full[: top + 1], (a, b, top)
                     packed += top == 4 * c * c
     assert packed > 500
+    # c = 7 at c^4, where the rule keeps the list kernel: a = 693 is the
+    # least a whose half span reaches 7^4 = 2401, and C(693, 7) fits a word
+    a, c = 693, 7
+    half = list_gaussian(a, c, c**4)
+    full = half + half[: c**4][::-1]
+    assert len(full) == c * (a - c) + 1 and sum(full) == math.comb(a, c)
+    for top in (c**4, c**4 + 1):
+        assert _gaussian_coefficients(a, c, top) == full[: top + 1], top
+        assert _packed_gaussian(a - c, c, top) == full[: top + 1], top
 
 
 def test_packed_gaussian_matches_factorial_division():
