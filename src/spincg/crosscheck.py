@@ -34,7 +34,7 @@ from .hypergeom import eval_terminating_pfq, termination_index
 from .identical import IdenticalSystem
 from .qpoly import IntPolynomial, partitions_at_most, q_binomial, restricted_partitions
 from .spins import SpinMultiset
-from .util import binom, heaviside
+from .util import binom
 
 __all__ = [
     "q_analogue",
@@ -157,10 +157,10 @@ def phi(a: int, b: int, nu: int, k: int) -> int:
         # The nested Heaviside sums, one level per summation variable.  cap
         # is the bound on the next variable (previous variable, or a-b at
         # the top); quota is k minus everything chosen so far.  At the
-        # innermost level the two step factors read H(m_last - quota) *
-        # H(quota - 1), with m_last equal to the cap that was passed down.
+        # innermost level the two step factors H(m_last - quota) * H(quota -
+        # 1), m_last being the cap passed down, read 1 <= quota <= cap.
         if depth == 0:
-            return heaviside(cap - quota) * heaviside(quota - 1)
+            return int(1 <= quota <= cap)
         total = 0
         for m in range(1, cap + 1):
             if quota - m < depth:

@@ -28,7 +28,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, starmap
+from itertools import chain, islice, starmap
 from math import prod
 from operator import add, itemgetter, mul, sub
 
@@ -336,19 +336,18 @@ def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
 
     values[n] is Omega_n, and entries past its end read as 0, so a table
     shorter than 2J_0 + 1 (the antisymmetric oracle's, empty under Pauli
-    exclusion) needs no padding.  One map(sub, ...) differences kappa = 0 ..
-    floor(2J_0 / 2); the positive differences are kept, each at twice_J =
-    2J_0 - 2 kappa.  The one scan for decompose, lambda_from_omega and the
-    antisymmetric oracle's table (whose support starts above zero); it makes
-    no structural demands on the table, and lambda_from_omega and decompose
-    audit what it returns.
+    exclusion) is read as it is.  One pass differences the head, kappa = 0 ..
+    floor(2J_0 / 2), against itself shifted by one and keeps the positive
+    differences, each at twice_J = 2J_0 - 2 kappa.  The one scan for
+    decompose, lambda_from_omega, the symmetric and antisymmetric tables and
+    the antisymmetric oracle's table (whose support starts above zero); it
+    makes no structural demands on the table, and lambda_from_omega and
+    decompose audit what it returns.
     """
-    half = twice_j0 // 2
-    head = list(values[: half + 1])
-    head += [0] * (len(head) <= half)  # past one zero, each difference is 0 - 0
-    lams = list(map(sub, head, [0] + head))
-    kept = map((0).__lt__, lams)
-    return DecompositionTable(tuple(compress(zip(range(twice_j0, -1, -2), lams), kept)))
+    head = values[: twice_j0 // 2 + 1]
+    lams = map(sub, chain(head, (0,)), chain((0,), head))
+    return DecompositionTable(tuple(
+        (twice_j, lam) for twice_j, lam in zip(range(twice_j0, -1, -2), lams) if lam > 0))
 
 
 def lambda_genfunc(spins: SpinMultiset) -> IntPolynomial:

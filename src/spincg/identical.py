@@ -21,10 +21,8 @@ cross-checks of these tables, in spincg.crosscheck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import sub
 
-from .decompose import DecompositionTable
+from .decompose import DecompositionTable, difference_decomposition
 from .errors import DomainError
 from .qpoly import _gaussian_coefficients
 from .spins import SpinMultiset
@@ -67,14 +65,13 @@ def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:
 
 
 def _sym_table(twice_j: int, count: int) -> DecompositionTable:
-    # Omega_n is the q^n coefficient of [2j + N choose N]_q and lambda_kappa
-    # that of (1 - q) times it, nonnegative up to the middle of the span
-    # (Sylvester's unimodality), where one truncated product stops; the
-    # nonzero ones are kept, each at twice_J = 2J_0 - 2 kappa.
+    # Omega_n is the q^n coefficient of [2j + N choose N]_q; one truncated
+    # product stops at the middle of the span, the half the difference scan
+    # reads, and its first differences are nonnegative up to there
+    # (Sylvester's unimodality).
     twice_j0 = twice_j * count
     omega = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2)
-    lams = list(map(sub, omega, [0] + omega))
-    return DecompositionTable(tuple(compress(zip(range(twice_j0, -1, -2), lams), lams)))
+    return difference_decomposition(omega, twice_j0)
 
 
 def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, SpinParseError
-from .util import decimal_text, heaviside
+from .util import decimal_text
 
 __all__ = ["SpinMultiset", "parse_spins", "parse_spin_token", "spin_label"]
 
@@ -151,10 +151,10 @@ class SpinMultiset:
 
         With 2v = 2*max(2j_i) - 2J_0: if v >= 0 one spin outweighs the rest
         and J_m = v; otherwise J_m is 0 or 1/2 by the parity of 2J_0.  The
-        v = 0 boundary belongs to the first branch (heaviside(0) == 1).
+        v = 0 boundary belongs to the first branch.
         """
         twice_v = 2 * self.entries[-1][0] - self.twice_j0
-        if heaviside(twice_v):
+        if twice_v >= 0:
             return twice_v
         return self.twice_j0 % 2
 

@@ -5,15 +5,6 @@ from __future__ import annotations
 import math
 
 
-def heaviside(x: int) -> int:
-    """Discrete unit step with heaviside(0) == 1.
-
-    Every step function in the package goes through this single definition,
-    so the boundary convention cannot drift between formulas.
-    """
-    return 1 if x >= 0 else 0
-
-
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) under the summation conventions used here.
 

@@ -427,6 +427,26 @@ def test_difference_decomposition_reads_a_sequence():
         lambda_from_omega(gapped)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_difference_decomposition_is_the_first_difference(data):
+    # the scan against its definition on any sequence, negatives included,
+    # shorter than the head it reads, as long as it or longer: values read
+    # as 0 outside the sequence, kappa = 0 .. floor(span / 2), and each
+    # positive difference kept at twice_J = span - 2 kappa
+    span = data.draw(st.integers(-1, 30))
+    size = data.draw(st.integers(0, span // 2 + 5))
+    values = data.draw(st.lists(st.integers(-3, 9), min_size=size, max_size=size))
+    values = data.draw(st.sampled_from((list, tuple)))(values)
+
+    def omega(n):
+        return values[n] if 0 <= n < len(values) else 0
+
+    expected = tuple((span - 2 * kappa, omega(kappa) - omega(kappa - 1))
+                     for kappa in range(span // 2 + 1) if omega(kappa) > omega(kappa - 1))
+    assert difference_decomposition(values, span).entries == expected
+
+
 @given(entries_strategy)
 @settings(max_examples=80, deadline=None)
 def test_omega_invariants(entries):

@@ -15,6 +15,7 @@ from spincg import (
     decompose,
     oracle_antisym,
     oracle_sym,
+    q_binomial,
     restricted_partitions,
     sym_decomposition,
 )
@@ -85,20 +86,25 @@ def test_decomposition_examples():
             assert antisym_decomposition(IdenticalSystem(twice_j, num)) == \
                 sym_decomposition(IdenticalSystem(twice_j + 1 - num, num))
         assert antisym_decomposition(IdenticalSystem(twice_j, twice_j + 1)).entries == ((0, 1),)
-    # the multiplicities read off (1 - q) [2j + N choose N]_q equal one
-    # difference scan over the Omega table: the antisymmetric one, shifted by
-    # N(N-1)/2 and left empty by exclusion, which also reaches every
-    # symmetric table of 2j + N <= 65 through the complementary spin; and
-    # the symmetric one directly up to 2J_0 = 1200, past the word boundary
-    # C(67, 33), beyond which each table costs milliseconds
+    # the symmetric multiplicities are the coefficients of (1 - q) [2j + N
+    # choose N]_q up to the middle, lambda_kappa = c_kappa - c_{kappa-1},
+    # kept where nonzero at twice_J = 2J_0 - 2 kappa: written out here from
+    # the full Gaussian polynomial up to 2J_0 = 1200, past the word boundary
+    # C(67, 33), beyond which each table costs milliseconds.  The
+    # antisymmetric table equals one difference scan over its Omega table,
+    # shifted by N(N-1)/2 and left empty by exclusion, which also reaches
+    # every symmetric table of 2j + N <= 65 through the complementary spin
     for twice_j in range(1, 65):
         for num in range(1, twice_j + 4):
             system = IdenticalSystem(twice_j, num)
             twice_j0 = twice_j * num
             if twice_j0 <= 1200:
-                sym = _gaussian_coefficients(twice_j + num, num, twice_j0 // 2)
-                assert sym_decomposition(system) == \
-                    difference_decomposition(sym, twice_j0), (twice_j, num)
+                coeffs = q_binomial(twice_j + num, num).coeffs
+                lams = [coeffs[0]] + [coeffs[kappa] - coeffs[kappa - 1]
+                                      for kappa in range(1, twice_j0 // 2 + 1)]
+                expected = tuple((twice_j0 - 2 * kappa, lam)
+                                 for kappa, lam in enumerate(lams) if lam)
+                assert sym_decomposition(system).entries == expected, (twice_j, num)
             anti = []
             if num <= twice_j + 1:
                 top = twice_j0 // 2 - system.exclusion_shift  # >= 0

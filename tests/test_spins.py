@@ -14,13 +14,6 @@ from spincg import (
     parse_spins,
     spin_label,
 )
-from spincg.util import heaviside
-
-
-def test_heaviside_boundary_is_one():
-    assert heaviside(0) == 1
-    assert heaviside(3) == 1
-    assert heaviside(-1) == 0
 
 
 def test_parse_basic():
