@@ -12,8 +12,8 @@ are cross-checks and live in spincg.crosscheck.
 The package exports exactly each production module's __all__.  Importing
 it loads no module: the first lookup of an exported name on the package
 loads the whole library at once (PEP 562).  The other submodules (cli,
-crosscheck, hypergeom, util) load alone, so spincg.cli, in either import
-form, and each of its verbs load only the modules they use.
+crosscheck, hypergeom) load alone, so spincg.cli, in either import form,
+and each of its verbs load only the modules they use.
 """
 
 import sys
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _PRODUCTION = (
     "counting", "decompose", "errors", "identical", "oracles", "qpoly", "spins",
 )
-_INTERNAL = ("cli", "crosscheck", "hypergeom", "util")
+_INTERNAL = ("cli", "crosscheck", "hypergeom")
 
 
 def _library() -> dict:

@@ -1,14 +1,15 @@
 """Command line interface.
 
 One verb per capability; every number printed is exact, written in full by
-spincg.util.decimal_text.  Each handler returns the full text of its
+spincg.spins.decimal_text.  Each handler returns the full text of its
 answer and main writes it once.  Exit codes: 0 success, 2 parse/usage
 error, 3 domain error, 4 enumeration budget exceeded or out of memory.
-argparse exits 2 on usage errors, and a MemoryError 4; every other nonzero
-code is the exit_code of the spincg.errors class raised.  A plain argv is
-read from the verb table that builds the argparse tree; help and usage
-errors come from argparse.  JSON output is canonical: fixed key order, big
-integers as decimal strings, rendered by json.dumps with default
+argparse exits 2 on usage errors, and a MemoryError or OverflowError 4
+(no floats here, so an OverflowError is a size past sys.maxsize); every
+other nonzero code is the exit_code of the spincg.errors class raised.  A
+plain argv is read from the verb table that builds the argparse tree; help
+and usage errors come from argparse.  JSON output is canonical: fixed key
+order, big integers as decimal strings, rendered by json.dumps with default
 separators, so a parse-and-reserialize round trip is byte identical.
 
 Handlers reach the library through _module, and import json only on
@@ -54,7 +55,7 @@ def _module(name: str) -> ModuleType:
 
 
 def _decimal(n: int) -> str:
-    return _module("util").decimal_text(n)
+    return _module("spins").decimal_text(n)
 
 
 def _decomposition_text(
@@ -80,7 +81,7 @@ def _polynomial_text(poly: IntPolynomial, fmt: str, head: dict) -> str:
     if fmt == "json":
         import json
 
-        return json.dumps({**head, "coefficients": poly.coefficient_strings()})
+        return json.dumps({**head, "coefficients": list(map(_decimal, poly.coeffs))})
     return str(poly)
 
 
@@ -369,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     A plain argv is read from the verb table that builds the tree; the rest
     goes to argparse.  The interpreter's int/str digit cap, which is
     process-wide, stays as it is: handlers write every number through
-    spincg.util.decimal_text, which has no limit.
+    spincg.spins.decimal_text, which has no limit.
     """
     try:
         args = _plain_args(argv) or _parser().parse_args(argv)
@@ -379,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpinParseError, DomainError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: not enough memory for this job", file=sys.stderr)
         return BudgetExceededError.exit_code
     except BrokenPipeError:

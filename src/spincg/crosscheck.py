@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .decompose import METHODS, OmegaTable, _alternating_table, _composition_counts
 from .decompose import lambda_binomial, omega_binomial, omega_genfunc
@@ -34,7 +35,6 @@ from .hypergeom import eval_terminating_pfq, termination_index
 from .identical import IdenticalSystem
 from .qpoly import IntPolynomial, partitions_at_most, q_binomial, restricted_partitions
 from .spins import SpinMultiset
-from .util import binom
 
 __all__ = [
     "q_analogue",
@@ -300,7 +300,7 @@ def omega_zero_range(num: int, n: int) -> int:
         raise DomainError("omega_zero_range needs num >= 1")
     if n < 0:
         return 0
-    return binom(num + n - 1, n)
+    return comb(num + n - 1, n)
 
 
 def lambda_zero_range(num: int, kappa: int) -> int:
@@ -313,7 +313,7 @@ def lambda_zero_range(num: int, kappa: int) -> int:
         raise DomainError("lambda_zero_range needs num >= 2")
     if kappa < 0:
         return 0
-    return binom(num + kappa - 2, kappa)
+    return comb(num + kappa - 2, kappa)
 
 
 def _univariate_hypergeometric(twice_j: int, num: int, n: int, top: int) -> Fraction:
@@ -331,7 +331,7 @@ def _univariate_hypergeometric(twice_j: int, num: int, n: int, top: int) -> Frac
     stop = -termination_index([-num, *family])
     kept = [stop] if stop in family[:cut] else []
     lowers = [Fraction(i - top - n, modulus) for i in range(min(top, modulus))]
-    return binom(top + n, n) * eval_terminating_pfq(
+    return comb(top + n, n) * eval_terminating_pfq(
         [-num, *family[cut:], *kept], lowers + kept
     )
 

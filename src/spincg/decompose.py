@@ -29,13 +29,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, starmap
-from math import prod
+from math import comb, prod
 from operator import add, itemgetter, mul, sub
 
 from .errors import DomainError
 from .qpoly import IntPolynomial, _q_ratio_product
-from .spins import SpinMultiset, spin_label
-from .util import binom, decimal_text
+from .spins import SpinMultiset, decimal_text, spin_label
 
 # not exported: METHODS; omega_composition, lambda_binomial (bench/layers.py reads them)
 __all__ = [
@@ -242,7 +241,7 @@ def _species_coefficients(entries: tuple[tuple[int, int], ...], last: int) -> di
 
 def _alternating_sum(entries: tuple[tuple[int, int], ...], top: int, n: int) -> int:
     """sum_{w <= n} c_w C(top + n - w, top); top is N - 1 for Omega_n, N - 2 for lambda."""
-    return sum(coeff * binom(top + n - w, top)
+    return sum(coeff * comb(top + n - w, top)
                for w, coeff in _species_coefficients(entries, n).items())
 
 

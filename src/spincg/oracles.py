@@ -27,8 +27,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .decompose import OmegaTable
 from .errors import BudgetExceededError, DomainError
 from .qpoly import IntPolynomial
-from .spins import SpinMultiset
-from .util import decimal_text
+from .spins import SpinMultiset, decimal_text
 
 __all__ = ["oracle_omega", "oracle_sym", "oracle_antisym"]
 

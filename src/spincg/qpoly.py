@@ -32,7 +32,7 @@ from math import comb
 from operator import sub
 
 from .errors import DomainError
-from .util import decimal_text
+from .spins import decimal_text
 
 __all__ = [
     "IntPolynomial",
@@ -85,10 +85,6 @@ class IntPolynomial:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
-
-    def coefficient_strings(self) -> list[str]:
-        """Coefficients as decimal strings, for JSON output."""
-        return list(map(decimal_text, self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -22,11 +22,20 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, SpinParseError
-from .util import decimal_text
 
 __all__ = ["SpinMultiset", "parse_spins", "parse_spin_token", "spin_label"]
 
 _ITEM_RE = re.compile(r"^(\d+)(?:/(\d+))?(?:\^(\d+))?$")
+
+
+def decimal_text(n: int) -> str:
+    """n as decimal text: str(n), or past the interpreter's int/str digit cap,
+    str of an exact, uncapped Decimal."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 def spin_label(twice_j: int) -> str:

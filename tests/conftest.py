@@ -5,6 +5,9 @@ the full multiplicity distribution by iterated two-spin coupling (the
 textbook |j1 - j2| .. j1 + j2 ladder), never touching the package's
 generating-function, binomial, or composition machinery.
 
+binom is C(n, k) under the convention the paper's q -> 1 and
+Catalan/Riordan identities lean on.
+
 digit_cap sets the interpreter's int/str digit cap for one test.
 
 Hypothesis runs under one profile: derandomized, with no example
@@ -14,6 +17,7 @@ temporary one for the session, so no .hypothesis/ directory is left behind.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import tempfile
@@ -47,6 +51,18 @@ def digit_cap():
     previous = get_cap()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(previous)
+
+
+def binom(n: int, k: int) -> int:
+    """C(n, k), extended: 0 for k < 0 and for 0 <= n < k, and 1 for k == 0
+    with any n, negative too (C(-1, 0) = 1 is the empty product)."""
+    if k < 0:
+        return 0
+    if k == 0:
+        return 1
+    if n < k:
+        return 0
+    return math.comb(n, k)
 
 
 def fold_pairwise(spins: SpinMultiset) -> dict[int, int]:

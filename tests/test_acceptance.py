@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from conftest import random_multiset, random_multiset_bounded_dim, table_as_dict
+from conftest import binom, random_multiset, random_multiset_bounded_dim, table_as_dict
 from spincg import (
     IdenticalSystem,
     antisym_decomposition,
@@ -48,7 +48,6 @@ from spincg.crosscheck import (
 from spincg.decompose import METHODS
 from spincg.hypergeom import eval_terminating_pfq
 from spincg.oracles import oracle_qbinom
-from spincg.util import binom
 
 
 def _criterion(number: int, label: str, budget_s: float | None, body) -> None:

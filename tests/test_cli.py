@@ -447,10 +447,10 @@ def test_missing_stdout_ends_quietly(monkeypatch):
 
 # Inputs whose size alone could exhaust memory or time: argv -> (exit code,
 # stdout, stderr), each run under a 1 GiB address space and 10 s of CPU.
+OUT_OF_MEMORY = (4, "", "error: not enough memory for this job\n")
 HOSTILE_ARGVS = [
     # qbinom's table has 5 * 10^11 coefficients, far past the address space
-    (("qbinom", "--a", "2000000", "--b", "1000000"),
-     (4, "", "error: not enough memory for this job\n")),
+    (("qbinom", "--a", "2000000", "--b", "1000000"), OUT_OF_MEMORY),
     # Pauli exclusion leaves no states, whatever the span 2J_0 = 10^11 - 1
     (("oracle", "--j", "1/2", "--num", "99999999999", "--composition", "antisymmetric"),
      (0, "spins: 1/2^99999999999\ncomposition: antisymmetric\nno states (exclusion)\n", "")),
@@ -475,6 +475,17 @@ HOSTILE_ARGVS = [
     (("oracle", "--spins", "1^300000", "--budget", "10"),
      (4, "", "error: oracle_omega(1^300000) needs at least 2^300000 states, "
              "over the budget of 10\n")),
+    # tables longer than sys.maxsize: the allocation raises OverflowError,
+    # not MemoryError, before it takes any memory
+    (("cgd", "--spins", "100000000000000000000"), OUT_OF_MEMORY),
+    (("omega", "--spins", "100000000000000000000"), OUT_OF_MEMORY),
+    (("genfunc", "--spins", "100000000000000000000", "--lambda"), OUT_OF_MEMORY),
+    (("sym", "--j", "100000000000000000000", "--num", "1"), OUT_OF_MEMORY),
+    (("antisym", "--j", "100000000000000000000", "--num", "2"), OUT_OF_MEMORY),
+    (("qbinom", "--a", "18446744073709551618", "--b", "1"), OUT_OF_MEMORY),
+    (("partitions", "--max-part", "9223372036854775808", "--max-parts", "2",
+      "--k", "9223372036854775808"), OUT_OF_MEMORY),
+    (("isotropic", "--dim", "18446744073709551616", "--rank", "2"), OUT_OF_MEMORY),
 ]
 
 

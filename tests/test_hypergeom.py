@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import binom
 from spincg import DomainError, catalan, riordan
 from spincg.crosscheck import (
     lambda_univariate,
@@ -15,7 +16,6 @@ from spincg.crosscheck import (
     omega_univariate_hypergeometric,
 )
 from spincg.hypergeom import eval_terminating_pfq, termination_index
-from spincg.util import binom
 
 
 def test_termination_index():

@@ -103,7 +103,7 @@ def test_exported_and_benchmark_layer_names_resolve():
 def test_package_all_is_the_production_modules_all():
     # a new module must be exported here or named as internal below
     modules = {info.name for info in pkgutil.iter_modules(spincg.__path__)}
-    assert modules == {*PRODUCTION, "cli", "crosscheck", "hypergeom", "util"}
+    assert modules == {*PRODUCTION, "cli", "crosscheck", "hypergeom"}
     # the package's own split, which keeps an internal name from loading the library
     assert sorted(spincg._PRODUCTION + spincg._INTERNAL) == sorted(modules)
     owner = {}

@@ -1,4 +1,5 @@
-"""Spin multiset parsing, canonical form, and the coupled-spin range."""
+"""Spin multiset parsing, canonical form, the number writers, and the
+coupled-spin range."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from spincg import (
     parse_spins,
     spin_label,
 )
+from spincg.spins import decimal_text
 
 
 def test_parse_basic():
@@ -69,6 +71,18 @@ def test_numbers_past_the_int_digit_cap_are_parse_errors(digit_cap):
             parse(text)
         assert str(caught.value) == "a 5000-digit number is too long to read"
     assert parse_spins("1^" + "9" * 4300).entries == ((2, int("9" * 4300)),)
+
+
+def test_decimal_text_writes_every_digit_past_the_digit_cap(digit_cap):
+    # 640 and 641 digits either side of the smallest cap CPython accepts
+    numbers = [0, 7, -7, 10**639, -(10**640) + 1, 10**640, -(10**640), 3**5000,
+               -(3**5000) + 1]
+    digit_cap(0)
+    expected = [str(n) for n in numbers]
+    digit_cap(640)
+    with pytest.raises(ValueError):
+        str(10**640)
+    assert list(map(decimal_text, numbers)) == expected
 
 
 def test_spin_label():
