@@ -180,6 +180,9 @@ def _cmd_dice(args: argparse.Namespace) -> str:
         raise DomainError("--dice must be >= 1")
     if args.digits is not None and args.digits < 1:
         raise DomainError("--digits must be >= 1")
+    if args.digits is not None and args.digits + args.dice > _exact_context().Emax:
+        # 2p * 10^digits, 2p < 10^(dice + 1), must fit Decimal's exponent range
+        raise OverflowError("--digits past the decimal exponent range")
     prob = _module("counting").dice_probability(args.dice, args.sum)
     text = "/".join(map(_decimal, prob.as_integer_ratio())).removesuffix("/1")  # as str(prob)
     if args.digits is None:

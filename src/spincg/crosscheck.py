@@ -7,14 +7,11 @@ and no production module imports this one.
 * q_analogue, [n]_q as a polynomial; q_factorial and q_binomial_by_division
   ([a]_q! / ([b]_q! [a-b]_q!), exact division), q_binomial_convolution
   (nested sums): check qpoly.q_binomial.
-* phi, phi2_closed and sum_phi_equals_p: counts of partitions into exactly
-  nu parts, by nested step sums and a two-part closed form; their sum over
-  nu checks qpoly.restricted_partitions.
+* phi and phi2_closed: counts of partitions into exactly nu parts, by
+  nested step sums and a two-part closed form; their sum over nu checks
+  qpoly.restricted_partitions.
 * omega_table: the full Omega table by binomial or composition, filled
   without the palindrome, so it checks omega_genfunc's mirror.
-* sym_genfunc, antisym_genfunc and antisym_omega: identical spins' Gaussian
-  binomials, checking identical's tables; inf_sym_omega and
-  inf_antisym_omega, their spin-infinity limits, check them where 2j >= n.
 * omega_univariate and lambda_univariate: {j^N} by the single alternating
   sum, checking decompose's tables; omega_zero_range and lambda_zero_range,
   their spin-infinity limits, check them wherever 2j >= n.
@@ -28,12 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .decompose import METHODS, OmegaTable, _alternating_table, _composition_counts
-from .decompose import lambda_binomial, omega_binomial, omega_genfunc
+from .decompose import METHODS, OmegaTable, _alternating_table, _composition_counts, omega_genfunc
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
-from .identical import IdenticalSystem
-from .qpoly import IntPolynomial, partitions_at_most, q_binomial, restricted_partitions
+from .qpoly import IntPolynomial
 from .spins import SpinMultiset
 
 __all__ = [
@@ -43,13 +38,7 @@ __all__ = [
     "q_binomial_convolution",
     "phi",
     "phi2_closed",
-    "sum_phi_equals_p",
     "omega_table",
-    "sym_genfunc",
-    "antisym_genfunc",
-    "antisym_omega",
-    "inf_sym_omega",
-    "inf_antisym_omega",
     "omega_univariate",
     "lambda_univariate",
     "omega_zero_range",
@@ -190,16 +179,6 @@ def phi2_closed(a: int, b: int, k: int) -> int:
     return 0
 
 
-def sum_phi_equals_p(a: int, b: int, k: int) -> bool:
-    """Whether sum over nu = 0..b of phi^{a,b}_{nu,k} equals p(a-b, b, k).
-
-    Splitting the partitions counted by p(a-b, b, k) by their exact number
-    of parts gives the phi family; this checks the two computations agree.
-    """
-    total = sum(phi(a, b, nu, k) for nu in range(b + 1))
-    return total == restricted_partitions(a - b, b, k)
-
-
 def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
     """Full Omega table by any of the three methods.
 
@@ -217,56 +196,21 @@ def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
     return OmegaTable(tuple(values))
 
 
-def sym_genfunc(system: IdenticalSystem) -> IntPolynomial:
-    """Generating function of the symmetric composition, [2j+N choose N]_q."""
-    return q_binomial(system.twice_j + system.count, system.count)
-
-
-def antisym_genfunc(system: IdenticalSystem) -> IntPolynomial:
-    """Generating function of the antisymmetric composition.
-
-    q^(N(N-1)/2) [2j+1 choose N]_q; the zero polynomial when N > 2j + 1
-    (no antisymmetric states exist).
-    """
-    if system.count > system.twice_j + 1:
-        return IntPolynomial()
-    head = (0,) * system.exclusion_shift
-    return IntPolynomial(head + q_binomial(system.twice_j + 1, system.count).coeffs)
-
-
-def antisym_omega(system: IdenticalSystem, n: int) -> int:
-    """Antisymmetric subspace dimension at excitation n.
-
-    p(2j + 1 - N, N, n - N(N-1)/2); zero outside the support and zero
-    everywhere under exclusion.
-    """
-    if system.count > system.twice_j + 1:
-        return 0
-    return restricted_partitions(system.twice_j + 1 - system.count, system.count,
-                                 n - system.exclusion_shift)
-
-
-def inf_sym_omega(num: int, n: int) -> int:
-    """Spin-infinity symmetric dimension: partitions of n into <= N parts."""
-    if num < 1:
-        raise DomainError("inf_sym_omega needs num >= 1")
-    return partitions_at_most(num, n)
-
-
-def inf_antisym_omega(num: int, n: int) -> int:
-    """Spin-infinity antisymmetric dimension.
-
-    The exclusion shift survives the limit: p_N(n - N(N-1)/2).
-    """
-    if num < 1:
-        raise DomainError("inf_antisym_omega needs num >= 1")
-    return partitions_at_most(num, n - num * (num - 1) // 2)
-
-
-def _check_univariate(name: str, twice_j: int, num: int, least: int) -> None:
-    # least is 1 for Omega_n, 2 for lambda_kappa (a pair of spins to couple)
+def _check_univariate(name: str, twice_j: int, num: int, least: int, kappa: int = 0) -> None:
+    # least is 1 for Omega_n, 2 for lambda_kappa (a pair of spins to couple);
+    # kappa runs 0 .. m = floor(N 2j / 2), as 2J_m is the parity bit of N 2j
     if twice_j < 1 or num < least:
         raise DomainError(f"{name} needs twice_j >= 1 and num >= {least}")
+    if not 0 <= kappa <= twice_j * num // 2:
+        raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
+
+
+def _univariate_sum(twice_j: int, num: int, n: int, top: int) -> int:
+    # sum_s (-1)^s C(top + n - (2j+1) s, top) C(N, s) over s <= min(N, n // (2j+1));
+    # top is N - 1 for Omega_n, N - 2 for lambda_kappa, and n < 0 leaves it empty
+    step = twice_j + 1
+    return sum((-1) ** s * comb(top + n - step * s, top) * comb(num, s)
+               for s in range(min(num, n // step) + 1))
 
 
 def omega_univariate(twice_j: int, num: int, n: int) -> int:
@@ -276,7 +220,7 @@ def omega_univariate(twice_j: int, num: int, n: int) -> int:
     C(N, s).  Returns 0 outside the table.
     """
     _check_univariate("omega_univariate", twice_j, num, 1)
-    return omega_binomial(SpinMultiset.from_entries({twice_j: num}), n)
+    return _univariate_sum(twice_j, num, n, num - 1)
 
 
 def lambda_univariate(twice_j: int, num: int, kappa: int) -> int:
@@ -285,8 +229,8 @@ def lambda_univariate(twice_j: int, num: int, kappa: int) -> int:
     Kernel C(N + kappa - 2 - (2j+1) s, N - 2); needs N >= 2 and kappa in
     0 .. m, like lambda_binomial.
     """
-    _check_univariate("lambda_univariate", twice_j, num, 2)
-    return lambda_binomial(SpinMultiset.from_entries({twice_j: num}), kappa)
+    _check_univariate("lambda_univariate", twice_j, num, 2, kappa)
+    return _univariate_sum(twice_j, num, kappa, num - 2)
 
 
 def omega_zero_range(num: int, n: int) -> int:
@@ -357,8 +301,5 @@ def lambda_univariate_hypergeometric(twice_j: int, num: int, kappa: int) -> Frac
     kappa), lower family {-(N + kappa - 2 - i)/(2j+1)}, and pair offset
     N - 2.
     """
-    _check_univariate("lambda_univariate_hypergeometric", twice_j, num, 2)
-    # m = floor(N 2j / 2): for N >= 2, 2J_m is the parity bit of N 2j
-    if kappa < 0 or kappa > twice_j * num // 2:
-        raise DomainError("kappa must lie between 0 and (2J_0 - 2J_m)/2")
+    _check_univariate("lambda_univariate_hypergeometric", twice_j, num, 2, kappa)
     return _univariate_hypergeometric(twice_j, num, kappa, num - 2)

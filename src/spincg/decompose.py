@@ -24,6 +24,7 @@ and spincg.crosscheck.omega_table gives their full Omega tables.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -218,6 +219,8 @@ def _omega_at(spins: SpinMultiset, n: int) -> int:
     steps = min(n, span - n)
     choices = prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
     if 6 * steps * (spins.num_distinct + 1) < choices * (spins.num_spins - 1):
+        if steps > sys.maxsize:  # past islice's reach, and main's exit 4
+            raise OverflowError(f"Omega recurrence of {steps} steps")
         return next(islice(_omega_coefficients(spins.entries, steps), steps, None))
     return omega_binomial(spins, n)
 
@@ -290,6 +293,7 @@ def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
     parts left free: C(free, s) ways.  A dynamic program over v = max 2j .. 2
     keeps one summed weight per (taken, total); v = 1 adds into the counts.
     """
+    counts = [0] * (top + 1)  # before the DP, so a table too long to hold fails at once
     species = list(spins.entries)  # ascending; popped as v reaches their 2j
     admitting = 0
     states = {(0, 0): 1}
@@ -302,7 +306,6 @@ def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
                     weight = weight * (admitting - taken - count + 1) // count
                     key = (taken + count, total + count * value)
                     states[key] = states.get(key, 0) + weight
-    counts = [0] * (top + 1)
     num = spins.num_spins
     for (taken, total), weight in states.items():
         for count in range(min(num - taken, top - total) + 1):

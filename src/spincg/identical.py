@@ -13,9 +13,8 @@ multiplicities are their first differences, the coefficients of
 levels leaves N levels of 2j' = 2j + 1 - N with repeats, so the
 antisymmetric table is the symmetric one of that complementary spin.
 More spins than levels (N > 2j + 1) leave no states: an empty table, the
-library-level face of the Pauli exclusion principle.  The generating
-functions, single antisymmetric dimensions and spin-infinity limits are
-cross-checks of these tables, in spincg.crosscheck.
+library-level face of the Pauli exclusion principle.  The tests hold these
+tables to the generating functions above and to their spin-infinity limits.
 """
 
 from __future__ import annotations

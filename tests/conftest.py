@@ -6,7 +6,8 @@ textbook |j1 - j2| .. j1 + j2 ladder), never touching the package's
 generating-function, binomial, or composition machinery.
 
 binom is C(n, k) under the convention the paper's q -> 1 and
-Catalan/Riordan identities lean on.
+Catalan/Riordan identities lean on; antisym_genfunc is the paper's
+antisymmetric generating function, written with q_binomial.
 
 digit_cap sets the interpreter's int/str digit cap for one test.
 
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from spincg import DecompositionTable, SpinMultiset
+from spincg import DecompositionTable, IntPolynomial, SpinMultiset, q_binomial
 
 settings.register_profile("spincg", derandomize=True, database=None)
 settings.load_profile("spincg")
@@ -63,6 +64,13 @@ def binom(n: int, k: int) -> int:
     if n < k:
         return 0
     return math.comb(n, k)
+
+
+def antisym_genfunc(twice_j: int, num: int) -> IntPolynomial:
+    """q^(N(N-1)/2) [2j+1 choose N]_q: N identical spins j, antisymmetrized.
+
+    The zero polynomial under exclusion (N > 2j + 1), where q_binomial is."""
+    return IntPolynomial((0,) * (num * (num - 1) // 2) + q_binomial(twice_j + 1, num).coeffs)
 
 
 def fold_pairwise(spins: SpinMultiset) -> dict[int, int]:

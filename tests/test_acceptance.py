@@ -12,7 +12,13 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from conftest import binom, random_multiset, random_multiset_bounded_dim, table_as_dict
+from conftest import (
+    antisym_genfunc,
+    binom,
+    random_multiset,
+    random_multiset_bounded_dim,
+    table_as_dict,
+)
 from spincg import (
     IdenticalSystem,
     antisym_decomposition,
@@ -24,15 +30,13 @@ from spincg import (
     oracle_omega,
     oracle_sym,
     parse_spins,
+    partitions_at_most,
     q_binomial,
     restricted_partitions,
     riordan,
     sym_decomposition,
 )
 from spincg.crosscheck import (
-    antisym_omega,
-    inf_antisym_omega,
-    inf_sym_omega,
     lambda_univariate,
     lambda_univariate_hypergeometric,
     lambda_zero_range,
@@ -42,8 +46,6 @@ from spincg.crosscheck import (
     phi,
     q_binomial_by_division,
     q_binomial_convolution,
-    sum_phi_equals_p,
-    sym_genfunc,
 )
 from spincg.decompose import METHODS
 from spincg.hypergeom import eval_terminating_pfq
@@ -104,13 +106,13 @@ def test_criterion_03_oracle_equivalence():
             assert omega_genfunc(spins) == oracle_omega(spins), spins
         for twice_j in range(1, 6):
             for num in range(1, 6):
-                system = IdenticalSystem(twice_j, num)
                 sym_counts = oracle_sym(twice_j, num)
                 anti_counts = oracle_antisym(twice_j, num)
-                poly = sym_genfunc(system)
+                poly = q_binomial(twice_j + num, num)
+                anti = antisym_genfunc(twice_j, num)
                 for n in range(twice_j * num + 1):
                     assert poly[n] == sym_counts.omega(n)
-                    assert antisym_omega(system, n) == anti_counts.omega(n)
+                    assert anti[n] == anti_counts.omega(n)
 
     _criterion(3, "brute-force oracles confirm the fast tables", 60.0, body)
 
@@ -140,7 +142,7 @@ def test_criterion_06_partition_identities():
         for a in range(0, 9):
             for b in range(0, a + 1):
                 for k in range(0, a - b + 3):
-                    assert sum_phi_equals_p(a, b, k)
+                    assert sum(phi(a, b, nu, k) for nu in range(b + 1)) == p(a - b, b, k)
         # four recurrences; the largest-part split needs k >= 1 because
         # p(n, m, 0) = 1 while its sum over largest parts is empty
         for n in range(1, 9):
@@ -233,11 +235,12 @@ def test_criterion_10_wide_spin_limits():
                     if num >= 2:
                         assert lambda_univariate(twice_j, num, n) == \
                             lambda_zero_range(num, n)
+        # wide enough (2j + 1 - N >= n) the antisymmetric count is p_N(n - C(N,2))
         for num in range(1, 7):
             shift = num * (num - 1) // 2
             for n in range(0, 41):
-                assert inf_antisym_omega(num, n) == \
-                    inf_sym_omega(num, n - shift)
+                assert antisym_genfunc(n + num, num)[n] == \
+                    partitions_at_most(num, n - shift)
 
     _criterion(10, "unbounded-level limits", None, body)
 

@@ -167,6 +167,10 @@ def test_dice_digits_checked_before_the_probability(capsys, monkeypatch):
         capsys, "dice", "--dice", "2000", "--sum", "7000", "--digits", "0"
     )
     assert (code, out, err) == (3, "", "error: --digits must be >= 1\n")
+    code, out, err = run(
+        capsys, "dice", "--dice", "2000", "--sum", "7000", "--digits", "999999999999998000"
+    )
+    assert (code, out, err) == (4, "", "error: not enough memory for this job\n")
     code, _, err = run(capsys, "dice", "--dice", "0", "--sum", "1", "--digits", "0")
     assert (code, err) == (3, "error: --dice must be >= 1\n")
 
@@ -486,6 +490,20 @@ HOSTILE_ARGVS = [
     (("partitions", "--max-part", "9223372036854775808", "--max-parts", "2",
       "--k", "9223372036854775808"), OUT_OF_MEMORY),
     (("isotropic", "--dim", "18446744073709551616", "--rank", "2"), OUT_OF_MEMORY),
+    # recurrences of more than sys.maxsize steps, refused before islice
+    (("omega", "--spins", "1^9223372036854775808", "--n", "9223372036854775808"),
+     OUT_OF_MEMORY),
+    (("dice", "--dice", "9223372036854775808", "--sum", "27670116110564327424"),
+     OUT_OF_MEMORY),
+    # a composition table of 10^20 entries, refused before its dynamic program
+    (("cgd", "--spins", "99999999999999999999", "--method", "composition"), OUT_OF_MEMORY),
+    # expansions past the Decimal exponent range, refused before the probability
+    (("dice", "--dice", "3", "--sum", "10", "--digits", "1000000000000000000"),
+     OUT_OF_MEMORY),
+    (("dice", "--dice", "3", "--sum", "10", "--digits", "9223372036854775808"),
+     OUT_OF_MEMORY),
+    # at the range's top, 2p = 50 has one digit too many for 10^digits
+    (("dice", "--dice", "3", "--sum", "9", "--digits", "999999999999999999"), OUT_OF_MEMORY),
 ]
 
 

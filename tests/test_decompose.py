@@ -519,6 +519,19 @@ def test_univariate_against_multiset():
                         table.entries[kappa][1]
 
 
+def test_binomial_route_matches_the_univariate_sums():
+    # for one species the species walk reduces to the single alternating sum
+    for twice_j in range(1, 7):
+        for num in range(1, 9):
+            spins = SpinMultiset.from_entries({twice_j: num})
+            for n in range(-1, twice_j * num + 2):
+                assert omega_binomial(spins, n) == omega_univariate(twice_j, num, n)
+            if num >= 2:
+                for kappa in range(spins.distinct_j_count):
+                    assert lambda_binomial(spins, kappa) == \
+                        lambda_univariate(twice_j, num, kappa)
+
+
 def test_univariate_examples_and_domain():
     assert lambda_univariate(1, 6, 3) == binom(6, 3) - binom(6, 2) == 5
     assert lambda_univariate(2, 10, 10) == 603

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import table_as_dict
+from conftest import antisym_genfunc, table_as_dict
 from spincg import (
     DomainError,
     IdenticalSystem,
@@ -15,16 +15,10 @@ from spincg import (
     decompose,
     oracle_antisym,
     oracle_sym,
+    partitions_at_most,
     q_binomial,
     restricted_partitions,
     sym_decomposition,
-)
-from spincg.crosscheck import (
-    antisym_genfunc,
-    antisym_omega,
-    inf_antisym_omega,
-    inf_sym_omega,
-    sym_genfunc,
 )
 from spincg.decompose import difference_decomposition
 from spincg.qpoly import _gaussian_coefficients
@@ -44,11 +38,11 @@ def test_system_validation():
 
 
 def test_genfunc_examples():
-    assert sym_genfunc(IdenticalSystem(1, 2)).coeffs == (1, 1, 1)
-    assert antisym_genfunc(IdenticalSystem(1, 2)).coeffs == (0, 1)
+    assert q_binomial(1 + 2, 2).coeffs == (1, 1, 1)
+    assert antisym_genfunc(1, 2).coeffs == (0, 1)
     # exclusion: more fermions than levels
-    assert antisym_genfunc(IdenticalSystem(1, 3)).coeffs == ()
-    assert antisym_genfunc(IdenticalSystem(3, 4)).coeffs == (
+    assert antisym_genfunc(1, 3).coeffs == ()
+    assert antisym_genfunc(3, 4).coeffs == (
         0, 0, 0, 0, 0, 0, 1,
     )
 
@@ -56,7 +50,7 @@ def test_genfunc_examples():
 def test_sym_coefficients_are_bounded_partitions():
     for twice_j in range(1, 6):
         for num in range(1, 5):
-            poly = sym_genfunc(IdenticalSystem(twice_j, num))
+            poly = q_binomial(twice_j + num, num)
             for n in range(twice_j * num + 1):
                 assert poly[n] == restricted_partitions(twice_j, num, n)
 
@@ -65,9 +59,8 @@ def test_antisym_coefficients_are_shifted_partitions():
     for twice_j in range(1, 6):
         for num in range(1, twice_j + 2):
             system = IdenticalSystem(twice_j, num)
-            poly = antisym_genfunc(system)
+            poly = antisym_genfunc(twice_j, num)
             for n in range(twice_j * num + 1):
-                assert poly[n] == antisym_omega(system, n)
                 expected = restricted_partitions(
                     twice_j + 1 - num, num, n - system.exclusion_shift
                 )
@@ -159,31 +152,31 @@ def test_total_dimensions():
 def test_matches_oracles():
     for twice_j in range(1, 5):
         for num in range(1, 5):
-            system = IdenticalSystem(twice_j, num)
-            sym = sym_genfunc(system)
+            sym = q_binomial(twice_j + num, num)
             sym_counts = oracle_sym(twice_j, num)
             for n in range(twice_j * num + 1):
                 assert sym[n] == sym_counts.omega(n)
+            anti = antisym_genfunc(twice_j, num)
             anti_counts = oracle_antisym(twice_j, num)
             for n in range(twice_j * num + 1):
-                assert antisym_omega(system, n) == anti_counts.omega(n)
+                assert anti[n] == anti_counts.omega(n)
 
 
 def test_unbounded_level_limits():
-    # for fixed n the bounded counts saturate once 2j is large enough
+    # for fixed n the bounded counts saturate once 2j is large enough, at
+    # p_N(n), partitions of n into at most N parts
     for num in range(1, 6):
+        shift = num * (num - 1) // 2
         for n in range(0, 15):
-            assert inf_sym_omega(num, n) == restricted_partitions(n, num, n)
-            big = IdenticalSystem(max(n, 1) + num, num)
-            assert antisym_omega(big, n + big.exclusion_shift) == \
-                inf_antisym_omega(num, n + big.exclusion_shift)
-    # the antisymmetric count is the symmetric one shifted by C(N,2)
+            assert partitions_at_most(num, n) == restricted_partitions(n, num, n)
+            big = max(n, 1) + num
+            assert antisym_genfunc(big, num)[n + shift] == partitions_at_most(num, n)
+    # there the antisymmetric count is the symmetric one shifted by C(N,2)
     for num in range(1, 6):
         shift = num * (num - 1) // 2
         for n in range(0, 25):
-            assert inf_antisym_omega(num, n + shift) == inf_sym_omega(num, n)
-    with pytest.raises(ValueError):
-        inf_sym_omega(0, 3)
-    assert inf_antisym_omega(3, 1) == 0
-    with pytest.raises(ValueError):
-        inf_antisym_omega(0, 1)
+            assert antisym_genfunc(n + num, num)[n + shift] == \
+                q_binomial(n + 2 * num, num)[n]
+    # and nothing lies below the shift
+    assert partitions_at_most(3, 1 - 3) == 0
+    assert antisym_genfunc(9, 3)[1] == 0

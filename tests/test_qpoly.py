@@ -24,7 +24,6 @@ from spincg.crosscheck import (
     q_binomial_by_division,
     q_binomial_convolution,
     q_factorial,
-    sum_phi_equals_p,
 )
 from spincg.oracles import oracle_restricted_partitions
 from spincg.qpoly import _gaussian_coefficients, _packed_gaussian, _q_ratio_product
@@ -416,11 +415,16 @@ def test_phi2_closed_form():
         phi2_closed(1, 2, 0)
 
 
+def _sum_phi(a: int, b: int, k: int) -> int:
+    # splitting the partitions p(a - b, b, k) counts by their exact number of parts
+    return sum(phi(a, b, nu, k) for nu in range(b + 1))
+
+
 def test_sum_phi_equals_p():
     for a in range(0, 13):
         for b in range(0, a + 1):
             for k in range(0, b * (a - b) + 2):
-                assert sum_phi_equals_p(a, b, k)
+                assert _sum_phi(a, b, k) == restricted_partitions(a - b, b, k)
 
 
 @settings(max_examples=60)
@@ -430,4 +434,4 @@ def test_sum_phi_equals_p():
     st.integers(min_value=0, max_value=40),
 )
 def test_sum_phi_equals_p_random(a_extra, b, k):
-    assert sum_phi_equals_p(b + a_extra, b, k)
+    assert _sum_phi(b + a_extra, b, k) == restricted_partitions(a_extra, b, k)
