@@ -29,7 +29,6 @@ from .errors import BudgetExceededError, DomainError, SpinParseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the annotations' names, read by type checkers only
-    import decimal
     from fractions import Fraction
     from types import ModuleType
 
@@ -156,18 +155,12 @@ def _cmd_compose(args: argparse.Namespace) -> str:
     return _decimal(counting.count_compositions(parts, args.n, args.allow_zero))
 
 
-@functools.cache
-def _exact_context() -> decimal.Context:
-    # a decimal context that never rounds, built on the first dice --digits
-    import decimal
-
-    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
 def _fraction_decimal(value: Fraction, digits: int) -> str:
     # exact scaling with round half up: floor(x + 1/2) of x = value * 10^digits,
     # one integer // in decimal, linear in digits where int ** and str are not
-    exact = _exact_context()
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     p, q = value.as_integer_ratio()
     shifted = exact.scaleb(exact.create_decimal(2 * p), digits)
     scaled = exact.divide_int(exact.add(shifted, q), 2 * q)
@@ -178,11 +171,14 @@ def _fraction_decimal(value: Fraction, digits: int) -> str:
 def _cmd_dice(args: argparse.Namespace) -> str:
     if args.dice < 1:
         raise DomainError("--dice must be >= 1")
-    if args.digits is not None and args.digits < 1:
-        raise DomainError("--digits must be >= 1")
-    if args.digits is not None and args.digits + args.dice > _exact_context().Emax:
-        # 2p * 10^digits, 2p < 10^(dice + 1), must fit Decimal's exponent range
-        raise OverflowError("--digits past the decimal exponent range")
+    if args.digits is not None:
+        import decimal
+
+        if args.digits < 1:
+            raise DomainError("--digits must be >= 1")
+        if args.digits + args.dice > decimal.MAX_EMAX:
+            # 2p * 10^digits, 2p < 10^(dice + 1), must fit Decimal's exponent range
+            raise OverflowError("--digits past the decimal exponent range")
     prob = _module("counting").dice_probability(args.dice, args.sum)
     text = "/".join(map(_decimal, prob.as_integer_ratio())).removesuffix("/1")  # as str(prob)
     if args.digits is None:
@@ -367,6 +363,19 @@ def _plain_args(argv: list[str] | None) -> argparse.Namespace | None:
     return args if required <= seen else None
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    # Before Python 3.13 argparse strips "--" from --name=-- and binds [], past
+    # type and choices; read as --name --, the argv is a usage error (exit 2)
+    args = _parser().parse_args(argv)
+    if [] in vars(args).values():
+        split = []
+        for token in sys.argv[1:] if argv is None else argv:
+            flag, _, value = token.partition("=")
+            split += [flag, value] if token.startswith("--") and value == "--" else [token]
+        args = _parser().parse_args(split)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one spincg command line; return its exit code (0, 2, 3 or 4).
 
@@ -376,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     spincg.spins.decimal_text, which has no limit.
     """
     try:
-        args = _plain_args(argv) or _parser().parse_args(argv)
+        args = _plain_args(argv) or _parse_args(argv)
         print(args.handler(args), flush=True)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -10,8 +10,8 @@ and no production module imports this one.
 * phi and phi2_closed: counts of partitions into exactly nu parts, by
   nested step sums and a two-part closed form; their sum over nu checks
   qpoly.restricted_partitions.
-* omega_table: the full Omega table by binomial or composition, filled
-  without the palindrome, so it checks omega_genfunc's mirror.
+* omega_table: the full Omega table by binomial or composition, never by
+  genfunc, filled without the palindrome, so it checks omega_genfunc's mirror.
 * omega_univariate and lambda_univariate: {j^N} by the single alternating
   sum, checking decompose's tables; omega_zero_range and lambda_zero_range,
   their spin-infinity limits, check them wherever 2j >= n.
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .decompose import METHODS, OmegaTable, _alternating_table, _composition_counts, omega_genfunc
+from .decompose import OmegaTable, _alternating_table, _composition_counts
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
 from .qpoly import IntPolynomial
@@ -179,20 +179,18 @@ def phi2_closed(a: int, b: int, k: int) -> int:
     return 0
 
 
-def omega_table(spins: SpinMultiset, method: str = "genfunc") -> OmegaTable:
-    """Full Omega table by any of the three methods.
+def omega_table(spins: SpinMultiset, method: str) -> OmegaTable:
+    """Full Omega table by the binomial or the composition method.
 
     Binomial (one species walk) and composition (one dynamic program) fill
-    0 .. 2J_0 and check genfunc's mirror.
+    0 .. 2J_0 and check omega_genfunc's mirror.
     """
-    if method == "genfunc":
-        return omega_genfunc(spins)
     if method == "binomial":
         values = _alternating_table(spins.entries, spins.num_spins - 1, spins.twice_j0)
     elif method == "composition":
         values = _composition_counts(spins, spins.twice_j0)
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected 'binomial' or 'composition'")
     return OmegaTable(tuple(values))
 
 

@@ -301,11 +301,10 @@ def _composition_counts(spins: SpinMultiset, top: int) -> list[int]:
         while species and species[-1][0] >= value:
             admitting += species.pop()[1]
         for (taken, total), weight in states.copy().items():  # each moves once per v
-            if taken < admitting:
-                for count in range(1, min(admitting - taken, (top - total) // value) + 1):
-                    weight = weight * (admitting - taken - count + 1) // count
-                    key = (taken + count, total + count * value)
-                    states[key] = states.get(key, 0) + weight
+            for count in range(1, min(admitting - taken, (top - total) // value) + 1):
+                weight = weight * (admitting - taken - count + 1) // count
+                key = (taken + count, total + count * value)
+                states[key] = states.get(key, 0) + weight
     num = spins.num_spins
     for (taken, total), weight in states.items():
         for count in range(min(num - taken, top - total) + 1):

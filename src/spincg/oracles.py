@@ -11,12 +11,13 @@ independence is the point; an oracle that shared code with the fast path
 would prove nothing.
 
 Each oracle raises DomainError where its fast counterpart does (a negative
-2j, N, a, n or m), then checks its budget, the most states it may
-enumerate (default DEFAULT_MAX_STATES, one million): BudgetExceededError
-comes before any work where the count is known up front, and as the walk
-passes the budget where it is not.  The package exports the oracles the
-oracle verb runs; oracle_qbinom and oracle_restricted_partitions, the
-references for q_binomial and restricted_partitions, are read from here.
+2j, N, n or m), then checks its budget, the most states it may enumerate
+(default DEFAULT_MAX_STATES, one million): BudgetExceededError comes before
+any work where the count is known up front, and as the walk passes the
+budget where it is not.  The package exports the oracles the oracle verb
+runs; oracle_restricted_partitions, restricted_partitions' reference, is read
+from here.  oracle_sym(a - b, b) is q_binomial(a, b)'s: its level multisets
+l_1 <= .. <= l_b are the b-subsets of {1..a} through s_i = l_i + i.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .decompose import OmegaTable
 from .errors import BudgetExceededError, DomainError
-from .qpoly import IntPolynomial
 from .spins import SpinMultiset, decimal_text
 
 __all__ = ["oracle_omega", "oracle_sym", "oracle_antisym"]
@@ -61,11 +61,11 @@ def _require(budget: int, floor_bits: int, count, call: str, *args) -> None:
     )
 
 
-def _histogram(states, top: int, shift: int = 0) -> tuple[int, ...]:
-    """How many states, tuples of levels, have each level sum shift .. top."""
-    counts = [0] * (top - shift + 1)
+def _histogram(states, top: int) -> tuple[int, ...]:
+    """How many states, tuples of levels, have each level sum 0 .. top."""
+    counts = [0] * (top + 1)
     for total in map(sum, states):
-        counts[total - shift] += 1
+        counts[total] += 1
     return tuple(counts)
 
 
@@ -117,23 +117,6 @@ def oracle_antisym(
              "oracle_antisym(2j={}, N={})", twice_j, count)
     levels = combinations(range(twice_j + 1), count)
     return OmegaTable(_histogram(levels, sum(range(twice_j + 1 - count, twice_j + 1))))
-
-
-def oracle_qbinom(
-    a: int, b: int, budget: int = DEFAULT_MAX_STATES
-) -> IntPolynomial:
-    """Gaussian binomial by subset sums.
-
-    [a choose b]_q = sum over b-subsets S of {1..a} of q^(sum(S) - b(b+1)/2).
-    """
-    if a < 0:
-        raise DomainError("oracle_qbinom needs a >= 0")
-    if b < 0 or b > a:
-        return IntPolynomial()
-    _require(budget, _comb_bits(a, b), lambda: math.comb(a, b), "oracle_qbinom({}, {})", a, b)
-    shift = b * (b + 1) // 2
-    subsets = combinations(range(1, a + 1), b)
-    return IntPolynomial(_histogram(subsets, shift + b * (a - b), shift))
 
 
 def oracle_restricted_partitions(

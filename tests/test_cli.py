@@ -533,6 +533,21 @@ def test_usage_errors_from_argparse(capsys):
     assert run(capsys, "cgd", "--spins", "1", "--method", "magic")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cgd", "--spins", "1", "--method=--"],
+    ["cgd", "--spins=--"],
+    ["sym", "--j=--", "--num", "2"],
+    ["omega", "--spins", "1", "--n=--"],
+    ["cgd", "--spins", "1", "--format=--"],
+    ["cgd", "--spins", "1", "--meth=--"],
+])
+def test_option_equals_double_dash_is_a_usage_error(capsys, argv):
+    # before Python 3.13 argparse binds [] to --name=--, past type and choices
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err.splitlines()[-1] and "Traceback" not in err
+
+
 # Every verb in text and with --format json (verbs without --format reject
 # it with exit 2), help, usage errors, and exits 3 and 4.
 REUSE_ARGVS = [
@@ -659,6 +674,20 @@ def test_plain_reader_equals_argparse():
             read += 1
             assert args == cli._parser().parse_args(argv), argv
     assert read > 1000 and declined > 1000
+
+
+def test_fuzzed_argv_end_in_a_documented_exit(capsys):
+    # seed 4's argvs include --name=-- ones, and run in a fraction of a second
+    rng = random.Random(4)
+    codes = set()
+    for _ in range(1000):
+        argv = _mutate(rng, list(rng.choice(FUZZ_SEEDS)))
+        code, _, err = run(capsys, *argv)
+        codes.add(code)
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, argv
+        if code in (3, 4):
+            assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, argv
+    assert {0, 2, 3} <= codes
 
 
 def test_plain_argv_never_reach_argparse(capsys, monkeypatch):

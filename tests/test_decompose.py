@@ -288,11 +288,13 @@ def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):
 
 
 def test_omega_table_methods_agree():
-    reference = omega_table(WORKED, "genfunc")
+    reference = omega_genfunc(WORKED)
     assert omega_table(WORKED, "binomial") == reference
     assert omega_table(WORKED, "composition") == reference
-    with pytest.raises(ValueError):
-        omega_table(WORKED, "magic")
+    # genfunc is the production route the table checks, not a third table
+    for method in ("genfunc", "magic"):
+        with pytest.raises(ValueError, match="expected 'binomial' or 'composition'"):
+            omega_table(WORKED, method)
     with pytest.raises(ValueError, match="unknown method 'magic'"):
         decompose(WORKED, "magic")
 

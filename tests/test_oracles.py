@@ -21,7 +21,7 @@ from spincg import (
     q_binomial,
     restricted_partitions,
 )
-from spincg.oracles import oracle_qbinom, oracle_restricted_partitions
+from spincg.oracles import oracle_restricted_partitions
 
 TIGHT = 10
 
@@ -76,18 +76,6 @@ def test_oracle_antisym():
             assert counts.omega(n) == direct
 
 
-def test_oracle_qbinom():
-    assert oracle_qbinom(4, 2).coeffs == (1, 1, 2, 1, 1)
-    assert oracle_qbinom(5, 0).coeffs == (1,)
-    assert oracle_qbinom(3, 3).coeffs == (1,)
-    assert oracle_qbinom(3, 4).coeffs == oracle_qbinom(3, -1).coeffs == ()
-    for a in range(0, 7):
-        for b in range(0, a + 1):
-            assert oracle_qbinom(a, b) == q_binomial(a, b)
-    with pytest.raises(DomainError):
-        oracle_qbinom(-1, 0, 0)
-
-
 def test_oracle_restricted_partitions():
     for n in range(0, 7):
         for m in range(0, 5):
@@ -113,7 +101,7 @@ def test_budget_guards():
     with pytest.raises(BudgetExceededError):
         oracle_antisym(40, 20, budget=TIGHT)
     with pytest.raises(BudgetExceededError):
-        oracle_qbinom(30, 15, budget=TIGHT)
+        oracle_sym(15, 15, budget=TIGHT)
     with pytest.raises(BudgetExceededError):
         oracle_restricted_partitions(50, 50, 1200, budget=TIGHT)
     # the default budget admits moderate problems
@@ -196,8 +184,9 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
         (lambda: oracle_antisym(10**5000, 1),
          f"oracle_antisym(2j={big}, N=1) needs {big[:-1]}1 states, "
          "over the budget of 1000000"),
-        (lambda: oracle_qbinom(10**5000, 1),
-         f"oracle_qbinom({big}, 1) needs {big} states, over the budget of 1000000"),
+        (lambda: oracle_antisym(10**5000 - 1, 1),
+         f"oracle_antisym(2j={'9' * 5000}, N=1) needs {big} states, "
+         "over the budget of 1000000"),
         (lambda: oracle_restricted_partitions(10**5000, 2, 5, 1),
          f"oracle_restricted_partitions({big}, 2, 5) passed 1 enumeration steps"),
         (lambda: oracle_omega(SpinMultiset(((2 * 10**5000, 1),)), 10),
@@ -205,14 +194,14 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
         # with a budget below 1, the arguments outgrow the state count
         (lambda: oracle_sym(10**5000, 0, 0),
          f"oracle_sym(2j={big}, N=0) needs 1 states, over the budget of 0"),
-        (lambda: oracle_qbinom(10**5000, 0, 0),
-         f"oracle_qbinom({big}, 0) needs 1 states, over the budget of 0"),
+        (lambda: oracle_antisym(10**5000, 0, 0),
+         f"oracle_antisym(2j={big}, N=0) needs 1 states, over the budget of 0"),
         (lambda: oracle_sym(5, 9, budget=TIGHT),
          "oracle_sym(2j=5, N=9) needs 2002 states, over the budget of 10"),
         (lambda: oracle_antisym(40, 20, budget=TIGHT),
          "oracle_antisym(2j=40, N=20) needs 269128937220 states, over the budget of 10"),
-        (lambda: oracle_qbinom(30, 15, budget=TIGHT),
-         "oracle_qbinom(30, 15) needs 155117520 states, over the budget of 10"),
+        (lambda: oracle_antisym(29, 15, budget=TIGHT),
+         "oracle_antisym(2j=29, N=15) needs 155117520 states, over the budget of 10"),
         (lambda: oracle_omega(parse_spins("1/2,3^2"), budget=TIGHT),
          "oracle_omega(1/2,3^2) needs 98 states, over the budget of 10"),
         # counts far past the budget are bounded below, never built:
@@ -220,8 +209,8 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
         (lambda: oracle_sym(10**6, 10**5, budget=TIGHT),
          "oracle_sym(2j=1000000, N=100000) needs at least 2^300000 states, "
          "over the budget of 10"),
-        (lambda: oracle_qbinom(2 * 10**6, 10**6 + 1, budget=TIGHT),
-         "oracle_qbinom(2000000, 1000001) needs at least 2^999999 states, "
+        (lambda: oracle_antisym(2 * 10**6 - 1, 10**6 + 1, budget=TIGHT),
+         "oracle_antisym(2j=1999999, N=1000001) needs at least 2^999999 states, "
          "over the budget of 10"),
     ]
     for call, message in cases:
@@ -236,9 +225,9 @@ def test_budget_past_the_count_floor_gets_the_exact_count(digit_cap):
     digit_cap(0)
     power, budget = str(2**70000), str(2**70000 - 1)
     with pytest.raises(BudgetExceededError) as caught:
-        oracle_qbinom(2**70000, 1, budget=2**70000 - 1)
+        oracle_sym(2**70000 - 1, 1, budget=2**70000 - 1)
     assert str(caught.value) == (
-        f"oracle_qbinom({power}, 1) needs {power} states, over the budget of {budget}")
+        f"oracle_sym(2j={budget}, N=1) needs {power} states, over the budget of {budget}")
 
 
 def test_fast_paths_match_enumeration():

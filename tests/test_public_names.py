@@ -69,7 +69,7 @@ PUBLIC_NAMES = [
 UNEXPORTED = {
     "crosscheck": ("omega_table", "q_analogue"),
     "decompose": ("METHODS", "lambda_binomial", "omega_composition"),
-    "oracles": ("DEFAULT_MAX_STATES", "oracle_qbinom", "oracle_restricted_partitions"),
+    "oracles": ("DEFAULT_MAX_STATES", "oracle_restricted_partitions"),
 }
 
 
