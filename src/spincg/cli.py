@@ -72,7 +72,8 @@ def _decomposition_text(
         lines.append("no states (exclusion)")
     else:
         lines.append(f"total dimension: {_decimal(table.total_dimension)}")
-        lines.extend(f"J = {spin_label(tj)}: {_decimal(mult)}" for tj, mult in table.entries)
+        lines.extend(f"J = {spin_label(tj)}: {_decimal(mult)}"
+                     for tj, mult in zip(table.twice_js, table.mults))
     return "\n".join(lines)
 
 

@@ -15,23 +15,23 @@ where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
 Multiplicities follow by first differences, lambda_kappa = Omega_kappa -
 Omega_{kappa-1} with J_kappa = J_0 - kappa, and also come straight from a
 binomial formula or from the polynomial (1 - q) * G_Omega.  Every Omega
-table goes through one difference scan, every binomial form through one
-species walk, and decompose audits each result once.  Binomial and
-composition tables each take one pass and cross-check the generating
-function; the tests and the brute-force oracles hold all three to that,
-and spincg.crosscheck.omega_table gives their full Omega tables.
+table goes through one difference scan and every binomial form through one
+species walk, each writing a DecompositionTable's two columns, and
+decompose audits each result once.  Binomial and composition tables each
+take one pass and cross-check the generating function; the tests and the
+brute-force oracles hold all three to that, and
+spincg.crosscheck.omega_table gives their full Omega tables.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, islice, starmap
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
+from itertools import compress, islice
 from math import comb, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, gt, mul, sub
 
 from .errors import DomainError
 from .qpoly import IntPolynomial, _q_ratio_product
@@ -80,51 +80,48 @@ class OmegaTable:
         return IntPolynomial(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DecompositionTable:
-    """Irreducible components (twice_J, multiplicity), twice_J descending.
+    """Irreducible components as two columns, twice_js descending and mults.
 
-    Empty tables are legal; they represent an antisymmetric composition
-    excluded by the Pauli principle.
+    DecompositionTable(entries) takes (twice_J, multiplicity) pairs, which
+    entries rebuilds on each read; total_dimension is summed at build, as
+    every production table's audit reads it.  Empty tables are legal; they
+    represent an antisymmetric composition excluded by the Pauli principle.
     """
 
-    entries: tuple[tuple[int, int], ...]
+    twice_js: tuple[int, ...] = field(init=False)
+    mults: tuple[int, ...] = field(init=False)
+    total_dimension: int = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        last = None
-        for twice_j, mult in self.entries:
-            if twice_j < 0 or mult < 1:
-                raise ValueError("entries need twice_J >= 0 and multiplicity >= 1")
-            if last is not None and twice_j >= last:
-                raise ValueError("entries must be strictly descending in twice_J")
-            last = twice_j
+    def __init__(self, entries: Iterable[tuple[int, int]]) -> None:
+        twice_js, mults = tuple(zip(*entries, strict=True)) or ((), ())
+        _fill(self, twice_js, mults)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.twice_js, self.mults))
+
+    def __repr__(self) -> str:
+        return f"DecompositionTable(entries={self.entries!r})"
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.twice_js)
 
     def multiplicity(self, twice_j: int) -> int:
-        for tj, mult in self.entries:
-            if tj == twice_j:
-                return mult
-        return 0
+        return self.mults[self.twice_js.index(twice_j)] if twice_j in self.twice_js else 0
 
     @property
     def twice_j0(self) -> int:
-        if not self.entries:
+        if not self.twice_js:
             raise ValueError("empty decomposition has no maximum spin")
-        return self.entries[0][0]
+        return self.twice_js[0]
 
     @property
     def twice_jmin(self) -> int:
-        if not self.entries:
+        if not self.twice_js:
             raise ValueError("empty decomposition has no minimum spin")
-        return self.entries[-1][0]
-
-    @cached_property
-    def total_dimension(self) -> int:
-        # decompose's audit and to_json_dict both read it; the sum
-        # mult * (2J + 1) is taken as sum mult * 2J + sum mult, two C-level passes
-        return sum(starmap(mul, self.entries)) + sum(map(itemgetter(1), self.entries))
+        return self.twice_js[-1]
 
     def to_json_dict(self, spins: str, composition: str | None = None) -> dict:
         """JSON document with canonical key order.
@@ -135,14 +132,26 @@ class DecompositionTable:
         doc: dict = {"spins": spins}
         if composition is not None:
             doc["composition"] = composition
-        doc["twice_J0"] = self.entries[0][0] if self.entries else None
-        doc["twice_Jm"] = self.entries[-1][0] if self.entries else None
+        doc["twice_J0"] = self.twice_js[0] if self.twice_js else None
+        doc["twice_Jm"] = self.twice_js[-1] if self.twice_js else None
         doc["total_dimension"] = decimal_text(self.total_dimension)
         doc["terms"] = [
             {"twice_J": tj, "J": spin_label(tj), "multiplicity": decimal_text(mult)}
-            for tj, mult in self.entries
+            for tj, mult in zip(self.twice_js, self.mults)
         ]
         return doc
+
+
+def _fill(table: DecompositionTable, twice_js: tuple, mults: tuple) -> DecompositionTable:
+    """Check and store a table's columns: DecompositionTable(entries) and the producers here."""
+    if len(twice_js) != len(mults) or not all(map(gt, twice_js, twice_js[1:])) or (
+            twice_js and (twice_js[-1] < 0 or min(mults) < 1)):
+        raise ValueError("a table needs columns of one length, twice_J >= 0 strictly "
+                         "descending and multiplicity >= 1")
+    # frozen, so the dict is written directly; sum mult * (2J + 1) in two C-level passes
+    table.__dict__.update(twice_js=twice_js, mults=mults,
+                          total_dimension=sum(map(mul, twice_js, mults)) + sum(mults))
+    return table
 
 
 def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
@@ -324,7 +333,7 @@ def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
     if table.omega(0) != 1:
         raise ValueError("inconsistent omega table: Omega_0 must be 1")
     result = difference_decomposition(table.values, table.twice_j0)
-    contiguous_end = table.twice_j0 - 2 * (len(result.entries) - 1)
+    contiguous_end = table.twice_j0 - 2 * (len(result.twice_js) - 1)
     if (result.twice_jmin, result.total_dimension) != (contiguous_end, table.total):
         raise ValueError(
             "inconsistent omega table: multiplicities do not account for its dimension"
@@ -337,18 +346,22 @@ def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
 
     values[n] is Omega_n, and entries past its end read as 0, so a table
     shorter than 2J_0 + 1 (the antisymmetric oracle's, empty under Pauli
-    exclusion) is read as it is.  One pass differences the head, kappa = 0 ..
-    floor(2J_0 / 2), against itself shifted by one and keeps the positive
-    differences, each at twice_J = 2J_0 - 2 kappa.  The one scan for
+    exclusion) is read as it is.  The head, kappa = 0 .. floor(2J_0 / 2),
+    compared with itself shifted by one, gives one list of flags Omega_kappa
+    > Omega_(kappa-1); compress keeps by it the positive differences and
+    their twice_J = 2J_0 - 2 kappa, the two columns.  The one scan for
     decompose, lambda_from_omega, the symmetric and antisymmetric tables and
     the antisymmetric oracle's table (whose support starts above zero); it
     makes no structural demands on the table, and lambda_from_omega and
     decompose audit what it returns.
     """
-    head = values[: twice_j0 // 2 + 1]
-    lams = map(sub, chain(head, (0,)), chain((0,), head))
-    return DecompositionTable(tuple(
-        (twice_j, lam) for twice_j, lam in zip(range(twice_j0, -1, -2), lams) if lam > 0))
+    top = twice_j0 // 2 + 1
+    head = values[:top]
+    ahead, behind = [*head, 0], [0, *head]
+    keep = list(map(gt, ahead, behind))
+    del keep[top:]  # the flag past the middle, when head reaches it
+    return _fill(object.__new__(DecompositionTable), tuple(compress(range(twice_j0, -1, -2), keep)),
+                 tuple(compress(map(sub, ahead, behind), keep)))
 
 
 def lambda_genfunc(spins: SpinMultiset) -> IntPolynomial:
@@ -400,7 +413,8 @@ def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTabl
         table = difference_decomposition(omega_genfunc(spins).values, twice_j0)
     elif method == "binomial":
         lams = _alternating_table(spins.entries, spins.num_spins - 2, spins.distinct_j_count - 1)
-        table = DecompositionTable(tuple(zip(range(twice_j0, -1, -2), lams)))
+        table = _fill(object.__new__(DecompositionTable),
+                      tuple(range(twice_j0, -1, -2)[: len(lams)]), tuple(lams))
     elif method == "composition":
         table = difference_decomposition(_composition_counts(spins, twice_j0 // 2), twice_j0)
     else:

@@ -20,6 +20,7 @@ tables to the generating functions above and to their spin-infinity limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .decompose import DecompositionTable, difference_decomposition
 from .errors import DomainError
@@ -67,10 +68,14 @@ def _sym_table(twice_j: int, count: int) -> DecompositionTable:
     # Omega_n is the q^n coefficient of [2j + N choose N]_q; one truncated
     # product stops at the middle of the span, the half the difference scan
     # reads, and its first differences are nonnegative up to there
-    # (Sylvester's unimodality).
+    # (Sylvester's unimodality).  The audit's C(2j + N, N) is C(2j + 1, N)
+    # for an antisymmetric table, through the complementary spin.
     twice_j0 = twice_j * count
     omega = _gaussian_coefficients(twice_j + count, count, twice_j0 // 2)
-    return difference_decomposition(omega, twice_j0)
+    table = difference_decomposition(omega, twice_j0)
+    if table.total_dimension != comb(twice_j + count, count):
+        raise ValueError(f"inconsistent symmetric table for 2j = {twice_j}, N = {count}")
+    return table
 
 
 def antisym_decomposition(system: IdenticalSystem) -> DecompositionTable:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import math
@@ -41,7 +42,7 @@ from spincg.crosscheck import (
     q_analogue,
 )
 from spincg.decompose import METHODS, lambda_binomial, omega_composition
-from spincg.decompose import _composition_counts, _omega_at, _omega_coefficients
+from spincg.decompose import _composition_counts, _fill, _omega_at, _omega_coefficients
 from spincg.qpoly import _q_ratio_product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -77,16 +78,68 @@ def test_decomposition_table_type():
     assert table.twice_jmin == 0
     assert table.total_dimension == 7
     assert bool(table)
+    # two columns; entries rebuilds the pairs, and they build an equal table
+    assert (table.twice_js, table.mults) == ((4, 0), (1, 2))
+    assert table.entries == ((4, 1), (0, 2))
+    assert DecompositionTable(table.entries) == table
+    assert repr(table) == "DecompositionTable(entries=((4, 1), (0, 2)))"
+    # a table whose producer wrote the columns equals the one built from pairs
+    for columns in (_fill(object.__new__(DecompositionTable), (4, 0), (1, 2)),
+                    difference_decomposition((1, 1, 3), 4)):
+        assert columns == table and hash(columns) == hash(table)
+        assert repr(columns) == repr(table)
+    assert dataclasses.replace(table, entries=((6, 3),)) == DecompositionTable(((6, 3),))
+    assert dataclasses.replace(table, entries=((6, 3),)).total_dimension == 21
     empty = DecompositionTable(())
     assert not empty
+    assert (empty.twice_js, empty.mults, empty.entries, empty.total_dimension) == ((), (), (), 0)
+    assert repr(empty) == "DecompositionTable(entries=())"
     with pytest.raises(ValueError):
         empty.twice_j0
     with pytest.raises(ValueError):
         empty.twice_jmin
-    with pytest.raises(ValueError):
-        DecompositionTable(((0, 1), (4, 1)))  # ascending
-    with pytest.raises(ValueError):
-        DecompositionTable(((4, 0),))
+    # every validation failure, through both constructors
+    for twice_js, mults in [
+        ((0, 4), (1, 1)),  # ascending
+        ((4, 4), (1, 1)),  # a repeated twice_J
+        ((4, -2), (1, 1)),  # twice_J below zero
+        ((4,), (0,)),  # multiplicity zero
+        ((4, 2), (1, -1)),  # negative multiplicity
+    ]:
+        with pytest.raises(ValueError):
+            DecompositionTable(tuple(zip(twice_js, mults)))
+        with pytest.raises(ValueError):
+            _fill(object.__new__(DecompositionTable), twice_js, mults)
+    for twice_js, mults in [((4, 2), (1,)), ((4,), (1, 1)), ((), (1,))]:
+        with pytest.raises(ValueError):
+            _fill(object.__new__(DecompositionTable), twice_js, mults)
+    for pairs in [((4, 1), (2,)), ((4, 1, 1),), ((4,),)]:
+        with pytest.raises(ValueError):
+            DecompositionTable(pairs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.mults = (1, 1)
+
+
+def test_table_columns_retain_less_than_pairs():
+    # a table keeps two tuples, not one 2-tuple per component: what its
+    # making leaves traced (tracemalloc, this process only) is held against
+    # the same components as (twice_J, multiplicity) pairs, each side less
+    # the int objects it shares.  5000^2 has 10,001 components, so the 2,000
+    # 2-tuples CPython's free list can hand out untraced cannot hide pairs.
+    spins = parse_spins("5000^2")
+    decompose(parse_spins("2^2"))  # first-call set-up stays untraced
+    tracemalloc.start()
+    try:
+        table = decompose(spins)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = table.entries
+    assert len(pairs) == 10001
+    int_bytes = sum(sys.getsizeof(v) for pair in pairs for v in pair if v > 256)
+    int_bytes += sys.getsizeof(table.total_dimension)
+    pair_bytes = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs))
+    assert kept - int_bytes <= 0.6 * pair_bytes, (kept, int_bytes, pair_bytes)
 
 
 def test_renderers_write_past_the_int_digit_cap(digit_cap):

@@ -28,7 +28,7 @@ def test_readme_examples():
         result = runner.run(test, out=report.append)
         failed += result.failed
         tried += result.attempted
-    assert (failed, tried) == (0, 10), "".join(report)
+    assert (failed, tried) == (0, 11), "".join(report)
 
 
 def test_readme_command_lines(capsys):
