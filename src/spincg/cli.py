@@ -3,7 +3,7 @@
 One verb per capability; every number printed is exact, written in full by
 spincg.spins.decimal_text.  Each handler returns the full text of its
 answer and main writes it once.  Exit codes: 0 success, 2 parse/usage
-error, 3 domain error, 4 enumeration budget exceeded or out of memory.
+error, 3 domain error, 4 budget or size limit exceeded, or out of memory.
 argparse exits 2 on usage errors, and a MemoryError or OverflowError 4
 (no floats here, so an OverflowError is a size past sys.maxsize); every
 other nonzero code is the exit_code of the spincg.errors class raised.  A
@@ -189,11 +189,7 @@ def _cmd_dice(args: argparse.Namespace) -> str:
 
 def _cmd_sequence(args: argparse.Namespace) -> str:
     # catalan and riordan: the first --count terms of args.term
-    if args.count < 0:
-        raise DomainError("--count must be >= 0")
-    term = getattr(_module("counting"), args.term)
-    values = [term(v) for v in range(args.count)]
-    return " ".join(map(_decimal, values))
+    return " ".join(map(_decimal, _module("counting")._sequence(args.term, args.count)))
 
 
 def _cmd_isotropic(args: argparse.Namespace) -> str:

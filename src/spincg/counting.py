@@ -7,10 +7,10 @@ isomers, and it counts classical combinatorial objects:
 * D = 2, r = 2v (2v spin-1/2): the Catalan number C_v,
 * D = 3, r = v (v spin-1): the Riordan number R_v.
 
-None of these take a closed-form shortcut here; they run through decompose
-itself, which makes them end-to-end integration checks of the core.  The
-closed forms appear only in the test suite as expected values.  One spin,
-and an odd 2J_0 = r(D-1), have no singlet and return 0 before decompose.
+None of these take a closed-form shortcut; the closed forms appear only in
+the tests.  One value runs through decompose itself, an end-to-end check of
+the core (one spin, and an odd 2J_0 = r(D-1), return 0 first); a run of
+values, as the catalan and riordan verbs print, reads one walk over r.
 
 A bounded-composition problem is a spin multiset: d_a parts bounded by n_a
 each are d_a spins of twice-spin n_a, a part is a spin's magnetization
@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import sub
 
 from .decompose import _omega_at, decompose
-from .errors import DomainError, SpinParseError
+from .errors import BudgetExceededError, DomainError, SpinParseError
 from .spins import SpinMultiset, _integer
 
 __all__ = [
@@ -38,6 +40,9 @@ __all__ = [
 ]
 
 _PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# The most terms one catalan or riordan run gives; at it the walk takes about
+# 15 s (Catalan) and 7 s (Riordan) of CPU (CPython 3.11.7, 2-vCPU KVM guest).
+SEQUENCE_COUNT_LIMIT = 5000
 
 
 def catalan(v: int) -> int:
@@ -52,6 +57,30 @@ def riordan(v: int) -> int:
     if v < 0:
         raise DomainError("riordan needs v >= 0")
     return isotropic_isomers(3, v)
+
+
+def _sequence(term: str, count: int) -> list[int]:
+    """The first count Catalan or Riordan numbers, from one walk over the rank.
+
+    Each Omega table is the last one times [dim]_q, a window sum kept as its
+    head Omega_0 .. Omega_mid; it must start at 1 and sum to dim^rank.
+    """
+    if count < 0:
+        raise DomainError("--count must be >= 0")
+    if count > SEQUENCE_COUNT_LIMIT:
+        raise BudgetExceededError(f"--count must be <= {SEQUENCE_COUNT_LIMIT}")
+    dim, step = (2, 2) if term == "catalan" else (3, 1)  # C_v: rank 2v; R_v: rank v
+    values, head, pad = [1] if count else [], [1] * ((dim + 1) // 2), [0] * dim
+    for rank in range(1, step * (count - 1) + 1):
+        span = rank * (dim - 1)
+        mid, top = span // 2, (span + dim - 1) // 2
+        partial = list(accumulate(chain(head, reversed(head[span - top:span - mid]))))
+        if head[0] != 1 or partial[mid] + partial[mid - 1 + span % 2] != dim**rank:
+            raise ValueError(f"inconsistent Omega table for rank {rank} of dim {dim}")
+        if rank % step == 0:  # the singlet: Omega_J0 - Omega_J0-1, none at odd spans
+            values.append(0 if span % 2 else head[mid] - head[mid - 1])
+        head = list(map(sub, partial, chain(pad, partial)))
+    return values
 
 
 def isotropic_isomers(dim: int, rank: int) -> int:

@@ -2,7 +2,7 @@
 
 Each class carries the exit code cli.main returns for it as exit_code, so
 the mapping is decided here: parse errors exit 2, domain errors exit 3,
-enumeration budget overruns exit 4.
+budget and size-limit overruns exit 4.
 """
 
 from __future__ import annotations
@@ -23,6 +23,6 @@ class DomainError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force oracle was asked to enumerate more states than allowed."""
+    """An oracle's state budget, or the sequence --count limit, was exceeded."""
 
     exit_code = 4

@@ -208,7 +208,8 @@ def test_numbers_past_the_int_digit_cap_are_usage_errors(capsys, digit_cap):
 def test_sequences_and_partitions_write_past_the_int_digit_cap(capsys, monkeypatch,
                                                                digit_cap):
     # no verb of these reaches 640 digits cheaply, so the counts are stood in for
-    monkeypatch.setattr(counting, "catalan", lambda v: 10**700 + v)
+    monkeypatch.setattr(counting, "_sequence",
+                        lambda term, count: [10**700 + v for v in range(count)])
     monkeypatch.setattr(qpoly, "restricted_partitions", lambda n, m, k: -(10**700))
     digit_cap(640)  # the smallest cap CPython accepts
     _, out, _ = run(capsys, "catalan", "--count", "2")
@@ -458,6 +459,9 @@ HOSTILE_ARGVS = [
     # Pauli exclusion leaves no states, whatever the span 2J_0 = 10^11 - 1
     (("oracle", "--j", "1/2", "--num", "99999999999", "--composition", "antisymmetric"),
      (0, "spins: 1/2^99999999999\ncomposition: antisymmetric\nno states (exclusion)\n", "")),
+    # sequence runs past the --count limit are refused before the walk starts
+    (("catalan", "--count", "99999999999"), (4, "", "error: --count must be <= 5000\n")),
+    (("riordan", "--count", "99999999999"), (4, "", "error: --count must be <= 5000\n")),
     # a sum below the number of dice has probability 0, with no 6^n to build
     (("dice", "--dice", "99999999999", "--sum", "1"), (0, "0\n", "")),
     # one spin has no singlet, whatever its dimension, and an odd 2J_0

@@ -3,23 +3,31 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 
 from spincg import (
+    BudgetExceededError,
     DomainError,
     SpinMultiset,
     SpinParseError,
     catalan,
     count_compositions,
+    counting,
     dice_probability,
     isotropic_isomers,
     parse_composition_spec,
     riordan,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 RIORDAN = [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
@@ -44,6 +52,95 @@ def test_riordan():
         assert riordan(v) == isotropic_isomers(3, v)
     with pytest.raises(DomainError):
         riordan(-2)
+
+
+def test_sequence_walk_matches_every_route():
+    # the walk's runs against the decompose route, the closed form of C_v
+    # and the Riordan recurrence, at every count up to 90
+    top = 90
+    catalans = [catalan(v) for v in range(top)]
+    riordans = [riordan(v) for v in range(top)]
+    assert catalans == [math.comb(2 * v, v) // (v + 1) for v in range(top)]
+    recurrence = [1, 0]
+    for n in range(2, top):
+        scaled = (n - 1) * (2 * recurrence[-1] + 3 * recurrence[-2])
+        assert scaled % (n + 1) == 0
+        recurrence.append(scaled // (n + 1))
+    assert riordans == recurrence
+    for count in range(top + 1):
+        assert counting._sequence("catalan", count) == catalans[:count]
+        assert counting._sequence("riordan", count) == riordans[:count]
+
+
+def test_sequence_count_limits(monkeypatch):
+    monkeypatch.setattr(counting, "SEQUENCE_COUNT_LIMIT", 6)
+    for term, expected in (("catalan", CATALAN), ("riordan", RIORDAN)):
+        assert counting._sequence(term, 6) == expected[:6]
+        with pytest.raises(BudgetExceededError, match=r"^--count must be <= 6$"):
+            counting._sequence(term, 7)
+        with pytest.raises(DomainError, match=r"^--count must be >= 0$"):
+            counting._sequence(term, -1)
+
+
+def _faulty_accumulate(fault):
+    # the walk's partial sums, changed by fault: a stand-in for a wrong table
+    def faulty(values):
+        partial = list(accumulate(values))
+        fault(partial)
+        return partial
+
+    return faulty
+
+
+def _raise_last(partial):
+    partial[-1] += 1
+
+
+def _move_first(partial):
+    # Omega_0 one lower and Omega_dim one higher: the table's sum stays right
+    if len(partial) > 6:
+        partial[0] -= 1
+
+
+@pytest.mark.parametrize("fault, ranks", [(_raise_last, (2, 2)), (_move_first, (12, 6))])
+def test_sequence_walk_is_audited(monkeypatch, fault, ranks):
+    monkeypatch.setattr(counting, "accumulate", _faulty_accumulate(fault))
+    for term, dim, rank in zip(("catalan", "riordan"), (2, 3), ranks):
+        with pytest.raises(ValueError) as caught:
+            counting._sequence(term, 30)
+        assert str(caught.value) == f"inconsistent Omega table for rank {rank} of dim {dim}"
+
+
+def test_sequence_audit_survives_optimized_mode():
+    # python -O strips asserts (the script's first assert proves it); the
+    # walk's audit must still raise there
+    script = (
+        "import itertools, sys\n"
+        "assert False, 'asserts are on'\n"
+        "from spincg import counting\n"
+        "def faulty(values):\n"
+        "    partial = list(itertools.accumulate(values))\n"
+        "    partial[-1] += 1\n"
+        "    return partial\n"
+        "counting.accumulate = faulty\n"
+        "for term in ('catalan', 'riordan'):\n"
+        "    try:\n"
+        "        counting._sequence(term, 30)\n"
+        "    except ValueError as exc:\n"
+        "        print(term, exc)\n"
+        "    else:\n"
+        "        sys.exit(1)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "catalan inconsistent Omega table for rank 2 of dim 2",
+        "riordan inconsistent Omega table for rank 2 of dim 3",
+    ]
 
 
 def test_isotropic_isomers():
