@@ -266,7 +266,7 @@ _VERBS = {
         "--dice": _INT, "--sum": _INT,
         "--digits": dict(type=int,
                          help="also print the decimal expansion to this many digits")}),
-    **{verb: (f"first K {verb.capitalize()} numbers, via decompositions",
+    **{verb: (f"first K {verb.capitalize()} numbers",
               dict(handler=_cmd_sequence, term=verb), {"--count": _INT})
        for verb in ("catalan", "riordan")},
     "isotropic": ("isotropic isomers of a multi-level unit",

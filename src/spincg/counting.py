@@ -96,7 +96,7 @@ def isotropic_isomers(dim: int, rank: int) -> int:
     if rank == 0:
         # an empty tensor product is the scalar representation
         return 1
-    if rank == 1 or rank * (dim - 1) % 2:
+    if rank * (dim - 1) % 2:
         return 0
     return decompose(SpinMultiset.from_entries({dim - 1: rank})).multiplicity(0)
 

@@ -1,26 +1,22 @@
 """Clebsch-Gordan decomposition of an arbitrary spin multiset.
 
 The tensor product of spins A = {j_1, ..., j_N} splits into irreducible
-components J with multiplicities lambda_J.  Everything is reached through
-the table of z-projection subspace dimensions Omega_n = dim of the subspace
-where sum(j_z,i) = J_0 - n, for n = 0 .. 2*J_0:
+components J with multiplicities lambda_J.  Omega_n is the dimension of the
+subspace where sum(j_z,i) = J_0 - n, n = 0 .. 2*J_0, and lambda_kappa =
+Omega_kappa - Omega_{kappa-1} is the multiplicity of J_kappa = J_0 - kappa:
 
-* generating function: Omega_n is the q^n coefficient of
-  prod_i [2j_i + 1]_q, by q-ratios or by the recurrence its logarithmic
-  derivative gives (omega_genfunc states which runs when),
+* generating function: lambda_kappa is the q^kappa coefficient of G_lambda =
+  (1 - q) prod_i [2j_i + 1]_q (_lambda_head), and Omega_n, that of
+  G_Omega = prod_i [2j_i + 1]_q, is its prefix sum,
 * generalized binomial: an alternating sum of binomial products,
 * multi-restricted composition: partitions placed into the spin
   "channels", summed by one dynamic program over the part values.
 
-Multiplicities follow by first differences, lambda_kappa = Omega_kappa -
-Omega_{kappa-1} with J_kappa = J_0 - kappa, and also come straight from a
-binomial formula or from the polynomial (1 - q) * G_Omega.  Every Omega
-table goes through one difference scan and every binomial form through one
-species walk, each writing a DecompositionTable's two columns, and
-decompose audits each result once.  Binomial and composition tables each
-take one pass and cross-check the generating function; the tests and the
-brute-force oracles hold all three to that, and
-spincg.crosscheck.omega_table gives their full Omega tables.
+decompose takes lambda_0 .. lambda_m, m = J_0 - J_m, from any of the three
+and writes the table's two columns in one place, with one audit.  Binomial
+and composition cross-check genfunc; the tests and the brute-force oracles
+hold all three to that, and spincg.crosscheck.omega_table gives their full
+Omega tables.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from math import comb, prod
 from operator import add, gt, mul, sub
 
@@ -157,35 +153,38 @@ def _fill(table: DecompositionTable, twice_js: tuple, mults: tuple) -> Decomposi
 def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
     """Full Omega table from the generating function prod [2j+1]_q^mult.
 
-    The table is palindromic (Omega_n = Omega_{2J_0 - n}), so only
-    Omega_0 .. Omega_{floor(J_0)}, the last one lambda_from_omega reads,
-    are computed; the rest is their mirror.  Two routes build that half:
-
-    * the q-ratio kernel, one ratio [2j+1]_q = (1 - q^(2j+1)) / (1 - q)
-      per spin: two C-level passes over the list per spin;
-    * the logarithmic-derivative recurrence of _omega_coefficients, whose
-      cost is set by the sigma species, not the N spins: sigma + 1
-      products per coefficient.
-
-    The recurrence runs when 2 (sigma + 1) < N: just past that, the kernel
-    took 1.04-1.50 times as long for sigma = 1 .. 8 (CPython 3.11).
+    The table is palindromic (Omega_n = Omega_{2J_0 - n}), so only its head
+    Omega_0 .. Omega_{floor(J_0)}, the prefix sums of _lambda_head's
+    coefficients, is computed; the rest is its mirror.
     """
     span = spins.twice_j0
     half = span // 2
-    if 2 * (spins.num_distinct + 1) < spins.num_spins:
-        head = list(_omega_coefficients(spins.entries, half))
-    else:
-        head = _q_ratio_product([(tj + 1, 1) for tj in spins.twice_spins], half)
+    head = list(accumulate(_lambda_head(spins, half)))
     return OmegaTable(tuple(head + head[: span - half][::-1]))
 
 
-def _omega_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Iterator[int]:
-    """Yield Omega_0 .. Omega_top of G = prod_a [d_a]_q^(N_a), d_a = 2j_a + 1.
+def _lambda_head(spins: SpinMultiset, top: int) -> Iterable[int]:
+    """lambda_0 .. lambda_top, the coefficients of G_lambda = (1 - q) prod [2j+1]_q.
 
-    The logarithmic derivative G'/G = N / (1 - q) - sum_a N_a d_a
-    q^(d_a - 1) / (1 - q^(d_a)), N = sum N_a, gives
-    (n+1) Omega_{n+1} = N sum_{i <= n} Omega_i - sum_a N_a d_a u_a[n+1-d_a],
-    where u_a[m] = Omega_m + u_a[m - d_a] runs along one residue class mod
+    The logarithmic-derivative recurrence of _lambda_coefficients costs
+    sigma + 1 products per coefficient, whatever the number N of spins; the
+    q-ratio kernel takes two C-level passes over the list per spin, after
+    the pair (1, 0) (times 1 - q, no running sum).  The recurrence runs
+    when 2 (sigma + 1) < N: just past that, the kernel took 1.04-1.50 times
+    as long for sigma = 1 .. 8 (CPython 3.11).
+    """
+    if 2 * (spins.num_distinct + 1) < spins.num_spins:
+        return _lambda_coefficients(spins.entries, top)
+    return _q_ratio_product([(1, 0), *((tj + 1, 1) for tj in spins.twice_spins)], top)
+
+
+def _lambda_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Iterator[int]:
+    """Yield lambda_0 .. lambda_top of G = (1 - q) prod_a [d_a]_q^(N_a), d_a = 2j_a + 1.
+
+    G = prod_a (1 - q^(d_a))^(N_a) / (1 - q)^(N - 1), N = sum N_a, so G'/G
+    = (N - 1) / (1 - q) - sum_a N_a d_a q^(d_a - 1) / (1 - q^(d_a)) gives
+    (n+1) lambda_{n+1} = (N - 1) sum_{i <= n} lambda_i - sum_a N_a d_a u_a[n+1-d_a],
+    where u_a[m] = lambda_m + u_a[m - d_a] runs along one residue class mod
     d_a: the device of Euler's n p(n) = sum_k sigma(k) p(n - k) for
     partitions (Andrews, The Theory of Partitions, 1; Stanley, EC1 1.8).
     Each deque holds the last d_a running sums of one species, so its head
@@ -193,10 +192,10 @@ def _omega_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Itera
     and is left out.  The state is O(sum d_a) besides what the caller
     keeps.  The division is exact; a remainder means an arithmetic bug.
     """
-    num = sum(mult for _, mult in entries)
+    num = sum(mult for _, mult in entries) - 1
     species = [((twice_j + 1) * mult, deque([0] * twice_j + [1], maxlen=twice_j + 1))
                for twice_j, mult in entries if twice_j < top]
-    scaled = num  # N (Omega_0 + ... + Omega_{n-1})
+    scaled = num  # (N - 1) (lambda_0 + ... + lambda_{n-1})
     yield 1
     for n in range(1, top + 1):
         acc = scaled
@@ -204,7 +203,7 @@ def _omega_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Itera
             acc -= weight * sums[0]
         value, rem = divmod(acc, n)
         if rem:
-            raise ArithmeticError(f"Omega recurrence: inexact step at n={n}")
+            raise ArithmeticError(f"lambda recurrence: inexact step at n={n}")
         scaled += num * value
         for _, sums in species:
             sums.append(value + sums[0])
@@ -214,13 +213,13 @@ def _omega_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Itera
 def _omega_at(spins: SpinMultiset, n: int) -> int:
     """Single Omega_n by the cheaper of the recurrence and the binomial sum.
 
-    The recurrence runs to m = min(n, 2J_0 - n), the nearer end of the
-    palindrome: about m (sigma + 1) products.  omega_binomial visits at
-    most prod_a (min(N_a, n // d_a) + 1) choices (s_a), each a binomial of
-    about N - 1 products.  With a recurrence product weighted 6 (5 to 8
-    measured alike), the route taken cost 1.08x the faster one in geometric
-    mean over 1,500 seeded pairs (CPython 3.11); a cost model is still open.
-    Out-of-range n returns 0.
+    The recurrence's prefix sum runs to m = min(n, 2J_0 - n), the nearer
+    end of the palindrome: about m (sigma + 1) products.  omega_binomial
+    visits at most prod_a (min(N_a, n // d_a) + 1) choices (s_a), each a
+    binomial of about N - 1 products.  With a recurrence product weighted 6
+    (5 to 8 measured alike), the route taken cost 1.08x the faster one in
+    geometric mean over 1,500 seeded pairs (CPython 3.11); a cost model is
+    still open.  Out-of-range n returns 0.
     """
     span = spins.twice_j0
     if n < 0 or n > span:
@@ -230,7 +229,7 @@ def _omega_at(spins: SpinMultiset, n: int) -> int:
     if 6 * steps * (spins.num_distinct + 1) < choices * (spins.num_spins - 1):
         if steps > sys.maxsize:  # past islice's reach, and main's exit 4
             raise OverflowError(f"Omega recurrence of {steps} steps")
-        return next(islice(_omega_coefficients(spins.entries, steps), steps, None))
+        return next(islice(accumulate(_lambda_coefficients(spins.entries, steps)), steps, None))
     return omega_binomial(spins, n)
 
 
@@ -350,10 +349,10 @@ def difference_decomposition(values, twice_j0: int) -> DecompositionTable:
     compared with itself shifted by one, gives one list of flags Omega_kappa
     > Omega_(kappa-1); compress keeps by it the positive differences and
     their twice_J = 2J_0 - 2 kappa, the two columns.  The one scan for
-    decompose, lambda_from_omega, the symmetric and antisymmetric tables and
-    the antisymmetric oracle's table (whose support starts above zero); it
-    makes no structural demands on the table, and lambda_from_omega and
-    decompose audit what it returns.
+    lambda_from_omega, the symmetric and antisymmetric tables and the
+    antisymmetric oracle's table (whose support starts above zero); it
+    makes no structural demands on the table, and its callers audit what
+    it returns.
     """
     top = twice_j0 // 2 + 1
     head = values[:top]
@@ -399,27 +398,27 @@ def lambda_binomial(spins: SpinMultiset, kappa: int) -> int:
 def decompose(spins: SpinMultiset, method: str = "genfunc") -> DecompositionTable:
     """Full Clebsch-Gordan decomposition of a spin multiset.
 
-    method selects how the multiplicities are computed: "genfunc" (default)
-    differences omega_genfunc's table, "composition" differences Omega_0 ..
-    Omega_floor(J_0) from one dynamic program, and "binomial" takes every
-    lambda_kappa from one species walk and one binomial row (for a single
-    spin the row is 1, 0, 0, ... and the walk stops at kappa = 0, so the
-    table is the spin itself).  The three methods agree entry for entry, and
-    every result passes one audit: its total dimension and minimum spin must
-    equal the multiset's.
+    method selects how lambda_0 .. lambda_m, m = J_0 - J_m, are computed:
+    "genfunc" (default) generates G_lambda's coefficients, "binomial" takes
+    them from one species walk and one binomial row, and "composition"
+    differences Omega_0 .. Omega_m from one dynamic program; a single spin
+    has m = 0.  The three methods agree entry for entry.  The table is
+    written once, twice_J = 2J_0 - 2 kappa down to the multiset's 2J_m;
+    _fill rejects a multiplicity below 1, and one audit holds the total
+    dimension to the multiset's.
     """
-    twice_j0 = spins.twice_j0
+    m = spins.distinct_j_count - 1
     if method == "genfunc":
-        table = difference_decomposition(omega_genfunc(spins).values, twice_j0)
+        lams = _lambda_head(spins, m)
     elif method == "binomial":
-        lams = _alternating_table(spins.entries, spins.num_spins - 2, spins.distinct_j_count - 1)
-        table = _fill(object.__new__(DecompositionTable),
-                      tuple(range(twice_j0, -1, -2)[: len(lams)]), tuple(lams))
+        lams = _alternating_table(spins.entries, spins.num_spins - 2, m)
     elif method == "composition":
-        table = difference_decomposition(_composition_counts(spins, twice_j0 // 2), twice_j0)
+        omegas = _composition_counts(spins, m)
+        lams = map(sub, omegas, [0, *omegas])
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    expected = (spins.total_dimension, spins.twice_jmin)
-    if (table.total_dimension, table.twice_jmin) != expected:
+    table = _fill(object.__new__(DecompositionTable),
+                  tuple(range(spins.twice_j0, spins.twice_jmin - 1, -2)), tuple(lams))
+    if table.total_dimension != spins.total_dimension:
         raise ValueError(f"inconsistent decomposition of {spins.canonical()}")
     return table

@@ -16,7 +16,7 @@ one integer, a 64-bit word per coefficient, where every coefficient fits a
 word and the measured crossover favours that; otherwise it runs
 _q_ratio_product on a list; q_binomial mirrors its palindromic lower half,
 and spincg.identical differences its half span.  decompose also uses
-_q_ratio_product for Omega tables.  No production route multiplies
+_q_ratio_product for multiplicity tables.  No production route multiplies
 IntPolynomials: their schoolbook product serves only the cross-checks in
 spincg.crosscheck, which hold the other routes.
 

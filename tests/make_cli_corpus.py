@@ -5,7 +5,9 @@
 The argv rows are drawn from a fixed seed, so a rerun gives the same rows;
 each is run through spincg.cli.main in-process with COLUMNS=80 and its exit
 code, stdout and stderr are stored.  Rerun only when a change alters CLI
-output on purpose, and list every changed row with the change.
+output on purpose, and list every changed row with the change: the script
+prints the argv of each row whose exit code, stdout or stderr differs from
+the file it replaces.
 
 The first line of the file is a header naming the Python minor version that
 wrote it.  Each further line is one row: argv, exit code, the SHA-256 of
@@ -211,10 +213,22 @@ def record(argv: list[str]) -> dict:
     return row
 
 
+def outcome(row: dict) -> tuple[int, str, str]:
+    return row["exit"], row["stdout_sha256"], row["stderr_sha256"]
+
+
 def main() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps usage and help to it
     header = {"python": "%d.%d" % sys.version_info[:2], "columns": 80}
-    lines = [json.dumps(header)] + [json.dumps(record(argv)) for argv in argv_rows()]
+    old = {}
+    if CORPUS.exists():
+        old = {tuple(row["argv"]): outcome(row)
+               for row in map(json.loads, CORPUS.read_text().splitlines()[1:])}
+    rows = [record(argv) for argv in argv_rows()]
+    for row in rows:
+        if old.get(tuple(row["argv"])) != outcome(row):
+            print("changed:", json.dumps(row["argv"]))
+    lines = [json.dumps(header)] + [json.dumps(row) for row in rows]
     CORPUS.write_text("\n".join(lines) + "\n")
     print(f"{len(lines) - 1} rows -> {CORPUS}")
 

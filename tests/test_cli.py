@@ -485,7 +485,7 @@ HOSTILE_ARGVS = [
              "over the budget of 10\n")),
     # tables longer than sys.maxsize: the allocation raises OverflowError,
     # not MemoryError, before it takes any memory
-    (("cgd", "--spins", "100000000000000000000"), OUT_OF_MEMORY),
+    (("cgd", "--spins", "100000000000000000000^2"), OUT_OF_MEMORY),
     (("omega", "--spins", "100000000000000000000"), OUT_OF_MEMORY),
     (("genfunc", "--spins", "100000000000000000000", "--lambda"), OUT_OF_MEMORY),
     (("sym", "--j", "100000000000000000000", "--num", "1"), OUT_OF_MEMORY),
@@ -499,8 +499,15 @@ HOSTILE_ARGVS = [
      OUT_OF_MEMORY),
     (("dice", "--dice", "9223372036854775808", "--sum", "27670116110564327424"),
      OUT_OF_MEMORY),
-    # a composition table of 10^20 entries, refused before its dynamic program
-    (("cgd", "--spins", "99999999999999999999", "--method", "composition"), OUT_OF_MEMORY),
+    # a composition table of about 2 * 10^20 entries, refused before its dynamic program
+    (("cgd", "--spins", "99999999999999999999^2", "--method", "composition"), OUT_OF_MEMORY),
+    # one dominant spin: a one-entry table, whatever J_0
+    (("cgd", "--spins", "100000000000000000000"),
+     (0, "spins: 100000000000000000000\ntotal dimension: 200000000000000000001\n"
+         "J = 100000000000000000000: 1\n", "")),
+    (("cgd", "--spins", "99999999999999999999", "--method", "composition"),
+     (0, "spins: 99999999999999999999\ntotal dimension: 199999999999999999999\n"
+         "J = 99999999999999999999: 1\n", "")),
     # expansions past the Decimal exponent range, refused before the probability
     (("dice", "--dice", "3", "--sum", "10", "--digits", "1000000000000000000"),
      OUT_OF_MEMORY),

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ from spincg.crosscheck import (
     q_analogue,
 )
 from spincg.decompose import METHODS, lambda_binomial, omega_composition
-from spincg.decompose import _composition_counts, _fill, _omega_at, _omega_coefficients
+from spincg.decompose import _composition_counts, _fill, _lambda_coefficients, _omega_at
 from spincg.qpoly import _q_ratio_product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -179,8 +180,8 @@ def test_worked_example_decomposition():
 
 def test_omega_genfunc_matches_schoolbook_product():
     # IntPolynomial's schoolbook product is the independent reference for
-    # the in-place q-ratio product and the logarithmic-derivative
-    # recurrence, on multisets with 2J_0 up to about 300
+    # the in-place q-ratio product and the prefix sums of the logarithmic-
+    # derivative recurrence, on multisets with 2J_0 up to about 300
     rng = random.Random(20260418)
     multisets = []
     for _ in range(8):
@@ -190,7 +191,7 @@ def test_omega_genfunc_matches_schoolbook_product():
             entries[twice_j] = entries.get(twice_j, 0) + rng.randint(1, 15)
         multisets.append(SpinMultiset.from_entries(entries))
     # one to eight species: once with one to three spins each (the kernel's
-    # side of the route choice in omega_genfunc), once on each side of its
+    # side of the route choice in _lambda_head), once on each side of its
     # rule 2 (sigma + 1) < N with the other spins once each, once on each
     # side of N = 4 (sigma + 1), and once with spin 1/2 grown by 2^(sigma+2)
     # spins (large N), spin 1/2 making up the count; 1/2^120 is one species
@@ -216,14 +217,16 @@ def test_omega_genfunc_matches_schoolbook_product():
         span = spins.twice_j0
         pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
         assert tuple(_q_ratio_product(pairs, span)) == reference.coeffs, spins
-        assert tuple(_omega_coefficients(spins.entries, span)) == reference.coeffs, spins
+        omegas = accumulate(_lambda_coefficients(spins.entries, span))
+        assert tuple(omegas) == reference.coeffs, spins
     # both routes over the full span, past the half omega_genfunc computes;
     # past 2J_0 = 300 the kernel is the reference
     wide = [m for m in many if m.twice_j0 > 300]
     for spins in [parse_spins("1^400"), parse_spins("1/2^30,1^30,3/2^30"), *wide]:
         pairs = [(twice_j + 1, 1) for twice_j in spins.twice_spins]
         reference = _q_ratio_product(pairs, spins.twice_j0)
-        assert list(_omega_coefficients(spins.entries, spins.twice_j0)) == reference, spins
+        omegas = accumulate(_lambda_coefficients(spins.entries, spins.twice_j0))
+        assert list(omegas) == reference, spins
         assert omega_genfunc(spins).values == tuple(reference), spins
 
 
@@ -232,7 +235,7 @@ def test_omega_recurrence_rejects_an_inexact_step():
     # -O (which strips asserts; the script's first assert proves it) still
     # stops on a wrong coefficient.  Off(100) is a multiplicity of 100 whose
     # species weight d * Off(100) comes out one too large (int calls a
-    # subclass's __rmul__ first), so 3 Omega_3 = 100 * 5151 - 301 is not a
+    # subclass's __rmul__ first), so 3 lambda_3 = 99 * 5050 - 301 is not a
     # multiple of 3.  The same case runs in-process first, then in the
     # subprocess.
     class Off(int):
@@ -240,7 +243,7 @@ def test_omega_recurrence_rejects_an_inexact_step():
             return int(self) * other + 1
 
     with pytest.raises(ArithmeticError, match="inexact step at n=3"):
-        list(_omega_coefficients(((2, Off(100)),), 50))
+        list(_lambda_coefficients(((2, Off(100)),), 50))
     script = (
         "import importlib, sys\n"
         "assert False, 'asserts are on'\n"
@@ -249,7 +252,7 @@ def test_omega_recurrence_rejects_an_inexact_step():
         "    def __rmul__(self, other):\n"
         "        return int(self) * other + 1\n"
         "try:\n"
-        "    list(d._omega_coefficients(((2, Off(100)),), 50))\n"
+        "    list(d._lambda_coefficients(((2, Off(100)),), 50))\n"
         "except ArithmeticError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(0)\n"
@@ -289,26 +292,25 @@ def test_decompose_checks_survive_optimized_mode():
     # python -O strips asserts (the script's first assert proves it); the
     # post-conditions of decompose must still reject a wrong multiplicity
     # table there, on each route: the faults go into the module globals
-    # decompose calls for the binomial table, the genfunc Omega table and
+    # decompose calls for the binomial table, the genfunc multiplicities and
     # the composition counts
     script = (
         "import importlib, sys\n"
         "assert False, 'asserts are on'\n"
         "d = importlib.import_module('spincg.decompose')\n"
         "spins = d.SpinMultiset.from_entries({2: 3})\n"
-        "exact_table, exact_omega = d._alternating_table, d.omega_genfunc\n"
+        "exact_table, exact_head = d._alternating_table, d._lambda_head\n"
         "exact_counts = d._composition_counts\n"
-        "def raised_omega(spins):\n"
-        "    values = list(exact_omega(spins).values)\n"
+        "def raised_head(spins, top):\n"
+        "    values = list(exact_head(spins, top))\n"
         "    values[1] += 1\n"
-        "    values[-2] += 1\n"
-        "    return d.OmegaTable(tuple(values))\n"
+        "    return values\n"
         "def raised_counts(spins, top):\n"
         "    values = exact_counts(spins, top)\n"
         "    values[1] += 1\n"
         "    return values\n"
         "d._alternating_table = lambda *args: [v + 1 for v in exact_table(*args)]\n"
-        "d.omega_genfunc = raised_omega\n"
+        "d._lambda_head = raised_head\n"
         "d._composition_counts = raised_counts\n"
         "for method in ('binomial', 'genfunc', 'composition'):\n"
         "    try:\n"
@@ -331,11 +333,45 @@ def test_decompose_checks_survive_optimized_mode():
     ]
 
 
+def test_decompose_matches_the_differenced_omega_table():
+    # decompose takes lambda_0 .. lambda_m straight from each method; the
+    # reference differences the full Omega table instead, on both sides of
+    # the recurrence rule 2 (sigma + 1) < N, with one dominant spin (m below
+    # floor(J_0)), for single spins and for N = 2
+    rng = random.Random(20261020)
+    kinds = {"recurrence": 0, "kernel": 0, "dominant": 0, "single": 0, "pair": 0}
+    for i in range(300):
+        kind = list(kinds)[i % 5]
+        if kind == "recurrence":
+            entries = {tj: rng.randint(5, 12) for tj in rng.sample(range(1, 8), rng.randint(1, 3))}
+        elif kind == "kernel":
+            entries = {tj: rng.randint(1, 2) for tj in rng.sample(range(1, 12), rng.randint(1, 4))}
+        elif kind == "dominant":
+            entries = {rng.randint(30, 80): 1, rng.randint(1, 6): rng.randint(1, 4)}
+        elif kind == "single":
+            entries = {rng.randint(1, 200): 1}
+        else:
+            entries = {rng.randint(1, 40): 1}
+            twice_j = rng.randint(1, 40)
+            entries[twice_j] = entries.get(twice_j, 0) + 1
+        spins = SpinMultiset.from_entries(entries)
+        m, half = spins.distinct_j_count - 1, spins.twice_j0 // 2
+        kinds["recurrence"] += 2 * (spins.num_distinct + 1) < spins.num_spins
+        kinds["kernel"] += 2 * (spins.num_distinct + 1) >= spins.num_spins
+        kinds["dominant"] += m < half
+        kinds["single"] += spins.num_spins == 1
+        kinds["pair"] += spins.num_spins == 2
+        reference = difference_decomposition(omega_genfunc(spins).values, spins.twice_j0)
+        for method in METHODS:
+            assert decompose(spins, method) == reference, (spins, method)
+    assert min(kinds.values()) >= 60, kinds
+
+
 def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):
     # the same audit in-process: a table that misses the multiset's total
     # dimension (5, not 4) is a ValueError, not a result
     module = importlib.import_module("spincg.decompose")
-    monkeypatch.setattr(module, "omega_genfunc", lambda spins: OmegaTable((1, 3, 1)))
+    monkeypatch.setattr(module, "_lambda_head", lambda spins, top: [1, 2])
     with pytest.raises(ValueError, match=r"inconsistent decomposition of 1/2\^2"):
         decompose(parse_spins("1/2^2"))
 
