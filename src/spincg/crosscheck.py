@@ -1,8 +1,9 @@
 """The paper's other routes to each quantity, kept as independent cross-checks.
 
 Production computes each quantity by one route, in qpoly, decompose and
-identical.  The tests hold every route here to its production counterpart,
-and no production module imports this one.
+identical, where cgd's binomial and composition cross-checks also live.
+The tests hold every route here to its production counterpart; no production
+module imports this one, and of them it imports only errors and IntPolynomial.
 
 * q_analogue, [n]_q as a polynomial; q_factorial and q_binomial_by_division
   ([a]_q! / ([b]_q! [a-b]_q!), exact division), q_binomial_convolution
@@ -10,8 +11,6 @@ and no production module imports this one.
 * phi and phi2_closed: counts of partitions into exactly nu parts, by
   nested step sums and a two-part closed form; their sum over nu checks
   qpoly.restricted_partitions.
-* omega_table: the full Omega table by binomial or composition, never by
-  genfunc, filled without the palindrome, so it checks omega_genfunc's mirror.
 * omega_univariate and lambda_univariate: {j^N} by the single alternating
   sum, checking decompose's tables; omega_zero_range and lambda_zero_range,
   their spin-infinity limits, check them wherever 2j >= n.
@@ -25,11 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .decompose import OmegaTable, _alternating_table, _composition_counts
 from .errors import DomainError
 from .hypergeom import eval_terminating_pfq, termination_index
 from .qpoly import IntPolynomial
-from .spins import SpinMultiset
 
 __all__ = [
     "q_analogue",
@@ -38,7 +35,6 @@ __all__ = [
     "q_binomial_convolution",
     "phi",
     "phi2_closed",
-    "omega_table",
     "omega_univariate",
     "lambda_univariate",
     "omega_zero_range",
@@ -177,21 +173,6 @@ def phi2_closed(a: int, b: int, k: int) -> int:
     if half < bound < k:
         return bound - half
     return 0
-
-
-def omega_table(spins: SpinMultiset, method: str) -> OmegaTable:
-    """Full Omega table by the binomial or the composition method.
-
-    Binomial (one species walk) and composition (one dynamic program) fill
-    0 .. 2J_0 and check omega_genfunc's mirror.
-    """
-    if method == "binomial":
-        values = _alternating_table(spins.entries, spins.num_spins - 1, spins.twice_j0)
-    elif method == "composition":
-        values = _composition_counts(spins, spins.twice_j0)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'binomial' or 'composition'")
-    return OmegaTable(tuple(values))
 
 
 def _check_univariate(name: str, twice_j: int, num: int, least: int, kappa: int = 0) -> None:

@@ -15,8 +15,7 @@ Omega_kappa - Omega_{kappa-1} is the multiplicity of J_kappa = J_0 - kappa:
 decompose takes lambda_0 .. lambda_m, m = J_0 - J_m, from any of the three
 and writes the table's two columns in one place, with one audit.  Binomial
 and composition cross-check genfunc; the tests and the brute-force oracles
-hold all three to that, and spincg.crosscheck.omega_table gives their full
-Omega tables.
+hold all three to that, over full Omega tables as well.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 from math import comb, prod
-from operator import add, gt, mul, sub
+from operator import add, gt, mul, neg, sub
 
 from .errors import DomainError
 from .qpoly import IntPolynomial, _q_ratio_product
@@ -262,10 +261,10 @@ def _alternating_table(entries: tuple[tuple[int, int], ...], top: int, last: int
     The kernel row B[k] = C(top + k, top) is built once, and each c_w adds
     c_w * B to the entries from w on.
     """
+    values = [0] * (last + 1)  # before the row, so a table too long to hold fails at once
     row = [1]
     for k in range(1, last + 1):
         row.append(row[-1] * (top + k) // k)
-    values = [0] * (last + 1)
     for w, coeff in _species_coefficients(entries, last).items():
         values[w:] = map(add, values[w:], map(coeff.__mul__, row))
     return values
@@ -368,10 +367,11 @@ def lambda_genfunc(spins: SpinMultiset) -> IntPolynomial:
 
     Degree 2*J_0 + 1; coefficient kappa is lambda_kappa for kappa <= m,
     then come 2*J_m zero "sinking" coefficients, then the mirrored negative
-    coefficients (G_lambda(1) = 0).
+    coefficients (G_lambda(1) = 0).  As G_Omega is palindromic, G_lambda is
+    _lambda_head to floor(J_0), a 0 if 2J_0 is odd, and that head negated, reversed.
     """
-    values = omega_genfunc(spins).values
-    return IntPolynomial(tuple(map(sub, values + (0,), (0,) + values)))
+    head = list(_lambda_head(spins, spins.twice_j0 // 2))
+    return IntPolynomial((*head, *[0] * (spins.twice_j0 % 2), *map(neg, reversed(head))))
 
 
 def lambda_binomial(spins: SpinMultiset, kappa: int) -> int:

@@ -501,6 +501,13 @@ HOSTILE_ARGVS = [
      OUT_OF_MEMORY),
     # a composition table of about 2 * 10^20 entries, refused before its dynamic program
     (("cgd", "--spins", "99999999999999999999^2", "--method", "composition"), OUT_OF_MEMORY),
+    # binomial tables of 2 * 10^20 and 10^12 entries, refused before their binomial row
+    (("cgd", "--spins", "100000000000000000000^2", "--method", "binomial"), OUT_OF_MEMORY),
+    (("cgd", "--spins", "1000000000000^2", "--method", "binomial"), OUT_OF_MEMORY),
+    # tables of 5 * 10^10 and 10^11 entries (isotropic's twice_J column, sym's
+    # Gaussian head), allocated before any work: that allocation alone ends them
+    (("isotropic", "--dim", "2", "--rank", "99999999998"), OUT_OF_MEMORY),
+    (("sym", "--j", "1", "--num", "99999999998"), OUT_OF_MEMORY),
     # one dominant spin: a one-entry table, whatever J_0
     (("cgd", "--spins", "100000000000000000000"),
      (0, "spins: 100000000000000000000\ntotal dimension: 200000000000000000001\n"

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import accumulate
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -37,13 +38,13 @@ from spincg.cli import _polynomial_text
 from spincg.crosscheck import (
     lambda_univariate,
     lambda_zero_range,
-    omega_table,
     omega_univariate,
     omega_zero_range,
     q_analogue,
 )
 from spincg.decompose import METHODS, lambda_binomial, omega_composition
-from spincg.decompose import _composition_counts, _fill, _lambda_coefficients, _omega_at
+from spincg.decompose import _alternating_table, _composition_counts, _fill
+from spincg.decompose import _lambda_coefficients, _omega_at
 from spincg.qpoly import _q_ratio_product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -333,13 +334,15 @@ def test_decompose_checks_survive_optimized_mode():
     ]
 
 
-def test_decompose_matches_the_differenced_omega_table():
-    # decompose takes lambda_0 .. lambda_m straight from each method; the
-    # reference differences the full Omega table instead, on both sides of
-    # the recurrence rule 2 (sigma + 1) < N, with one dominant spin (m below
-    # floor(J_0)), for single spins and for N = 2
-    rng = random.Random(20261020)
+def _route_cases(seed: int) -> list[SpinMultiset]:
+    """300 seeded multisets of five kinds, each kind at least 60 times.
+
+    Both sides of the recurrence rule 2 (sigma + 1) < N, one dominant spin
+    (m below floor(J_0)), single spins and N = 2.
+    """
+    rng = random.Random(seed)
     kinds = {"recurrence": 0, "kernel": 0, "dominant": 0, "single": 0, "pair": 0}
+    cases = []
     for i in range(300):
         kind = list(kinds)[i % 5]
         if kind == "recurrence":
@@ -361,10 +364,18 @@ def test_decompose_matches_the_differenced_omega_table():
         kinds["dominant"] += m < half
         kinds["single"] += spins.num_spins == 1
         kinds["pair"] += spins.num_spins == 2
+        cases.append(spins)
+    assert min(kinds.values()) >= 60, kinds
+    return cases
+
+
+def test_decompose_matches_the_differenced_omega_table():
+    # decompose takes lambda_0 .. lambda_m straight from each method; the
+    # reference differences the full Omega table instead
+    for spins in _route_cases(20261020):
         reference = difference_decomposition(omega_genfunc(spins).values, spins.twice_j0)
         for method in METHODS:
             assert decompose(spins, method) == reference, (spins, method)
-    assert min(kinds.values()) >= 60, kinds
 
 
 def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):
@@ -377,13 +388,10 @@ def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):
 
 
 def test_omega_table_methods_agree():
-    reference = omega_genfunc(WORKED)
-    assert omega_table(WORKED, "binomial") == reference
-    assert omega_table(WORKED, "composition") == reference
-    # genfunc is the production route the table checks, not a third table
-    for method in ("genfunc", "magic"):
-        with pytest.raises(ValueError, match="expected 'binomial' or 'composition'"):
-            omega_table(WORKED, method)
+    reference = list(omega_genfunc(WORKED).values)
+    span = WORKED.twice_j0
+    assert _alternating_table(WORKED.entries, WORKED.num_spins - 1, span) == reference
+    assert _composition_counts(WORKED, span) == reference
     with pytest.raises(ValueError, match="unknown method 'magic'"):
         decompose(WORKED, "magic")
 
@@ -403,7 +411,7 @@ def test_composition_dp_matches_genfunc(text):
     span = spins.twice_j0
     assert decompose(spins, "composition") == decompose(spins, "genfunc")
     assert decompose(spins, "binomial") == decompose(spins, "genfunc")
-    assert omega_table(spins, "composition") == reference
+    assert _composition_counts(spins, span) == list(reference.values)
     assert _composition_counts(spins, span // 2) == list(reference.values[: span // 2 + 1])
     assert omega_composition(spins, span // 3) == reference.values[span // 3]
 
@@ -413,14 +421,14 @@ def test_composition_memory_is_bounded_by_the_answer():
     # table peaked at 2.7 times the table's bytes, and at 550 times when
     # that value also built a (taken, total) state dict.  tracemalloc
     # traces only this process.
-    omega_table(parse_spins("1^3"), "composition")  # first-call set-up stays untraced
+    _composition_counts(parse_spins("1^3"), 6)  # first-call set-up stays untraced
     tracemalloc.start()
     try:
-        table = omega_table(parse_spins("1^600"), "composition")
+        values = _composition_counts(parse_spins("1^600"), 1200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    answer_bytes = sum(value.bit_length() for value in table.values) // 8
+    answer_bytes = sum(value.bit_length() for value in values) // 8
     assert peak < 8 * answer_bytes, (peak, answer_bytes)
 
 
@@ -433,8 +441,9 @@ def test_cross_check_tables_match_genfunc_in_full():
         spins = random_multiset(rng, max_total=8, max_twice=7)
         reference = omega_genfunc(spins)
         span = spins.twice_j0
-        assert omega_table(spins, "binomial") == reference, spins
-        assert omega_table(spins, "composition") == reference, spins
+        full = list(reference.values)
+        assert _alternating_table(spins.entries, spins.num_spins - 1, span) == full, spins
+        assert _composition_counts(spins, span) == full, spins
         for n in {0, rng.randint(0, span), rng.randint(0, span), span}:
             assert omega_composition(spins, n) == reference.values[n], (spins, n)
             assert omega_binomial(spins, n) == reference.values[n], (spins, n)
@@ -576,10 +585,15 @@ def test_decomposition_matches_pairwise_coupling():
 
 
 def test_lambda_genfunc_structure():
+    # G_lambda is read from its head and mirrored; the reference is (1 - q)
+    # times the full Omega table, its first differences with a 0 on each side
     rng = random.Random(4711)
-    for _ in range(60):
-        spins = random_multiset(rng)
+    cases = [random_multiset(rng) for _ in range(60)] + _route_cases(20261021)
+    assert {spins.twice_j0 % 2 for spins in cases} == {0, 1}
+    for spins in cases:
+        values = omega_genfunc(spins).values
         poly = lambda_genfunc(spins)
+        assert list(poly.coeffs) == list(map(sub, (*values, 0), (0, *values))), spins
         coeffs = list(poly.coeffs) + [0] * (spins.twice_j0 + 2 - len(poly.coeffs))
         assert len(coeffs) == spins.twice_j0 + 2
         assert sum(poly.coeffs) == 0
