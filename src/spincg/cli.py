@@ -2,13 +2,13 @@
 
 One verb per capability; every number printed is exact, written in full by
 spincg.spins.decimal_text.  Each handler returns the full text of its
-answer and main writes it once.  Exit codes: 0 success, 2 parse/usage
-error, 3 domain error, 4 budget or size limit exceeded, or out of memory.
-argparse exits 2 on usage errors, and a MemoryError or OverflowError 4
-(no floats here, so an OverflowError is a size past sys.maxsize); every
-other nonzero code is the exit_code of the spincg.errors class raised.  A
-plain argv is read from the verb table that builds the argparse tree; help
-and usage errors come from argparse.  JSON output is canonical: fixed key
+answer and main writes it once.  Exit codes: 0 success, 2 parse or usage
+error (argparse's own too), 3 domain error, 4 budget or size limit exceeded
+or out of memory: a MemoryError, or an OverflowError from a size past
+sys.maxsize or dice --digits past Decimal's exponent range.  Any other
+nonzero code is the exit_code of the spincg.errors class raised.  A plain
+argv is read from the verb table that builds the argparse tree; help and
+usage errors come from argparse.  JSON output is canonical: fixed key
 order, big integers as decimal strings, rendered by json.dumps with default
 separators, so a parse-and-reserialize round trip is byte identical.
 
@@ -121,7 +121,7 @@ def _cmd_genfunc(args: argparse.Namespace) -> str:
     if args.lambda_:
         poly, kind = decompose.lambda_genfunc(spins), "lambda"
     else:
-        poly, kind = decompose.omega_genfunc(spins).to_polynomial(), "omega"
+        poly, kind = _module("qpoly").IntPolynomial(decompose.omega_genfunc(spins).values), "omega"
     head = {"spins": spins.canonical(), "series": kind}
     return _polynomial_text(poly, args.format, head)
 
@@ -133,7 +133,8 @@ def _cmd_identical(args: argparse.Namespace) -> str:
     symmetric = args.composition == "symmetric"
     table = (identical.sym_decomposition if symmetric
              else identical.antisym_decomposition)(system)
-    return _decomposition_text(table, system.canonical(), args.format, args.composition)
+    return _decomposition_text(table, system.as_multiset().canonical(), args.format,
+                              args.composition)
 
 
 def _cmd_qbinom(args: argparse.Namespace) -> str:

@@ -67,13 +67,6 @@ class OmegaTable:
             return self.values[n]
         return 0
 
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-    def to_polynomial(self) -> IntPolynomial:
-        return IntPolynomial(self.values)
-
 
 @dataclass(frozen=True, repr=False)
 class DecompositionTable:
@@ -332,7 +325,7 @@ def lambda_from_omega(table: OmegaTable) -> DecompositionTable:
         raise ValueError("inconsistent omega table: Omega_0 must be 1")
     result = difference_decomposition(table.values, table.twice_j0)
     contiguous_end = table.twice_j0 - 2 * (len(result.twice_js) - 1)
-    if (result.twice_jmin, result.total_dimension) != (contiguous_end, table.total):
+    if (result.twice_jmin, result.total_dimension) != (contiguous_end, sum(table.values)):
         raise ValueError(
             "inconsistent omega table: multiplicities do not account for its dimension"
         )

@@ -43,16 +43,8 @@ class IdenticalSystem:
         if self.count < 1:
             raise DomainError("count must be >= 1")
 
-    @property
-    def exclusion_shift(self) -> int:
-        """N(N-1)/2, the minimal excitation of an antisymmetric state."""
-        return self.count * (self.count - 1) // 2
-
     def as_multiset(self) -> SpinMultiset:
         return SpinMultiset.from_entries({self.twice_j: self.count})
-
-    def canonical(self) -> str:
-        return self.as_multiset().canonical()
 
 
 def sym_decomposition(system: IdenticalSystem) -> DecompositionTable:

@@ -9,6 +9,11 @@ binom is C(n, k) under the convention the paper's q -> 1 and
 Catalan/Riordan identities lean on; antisym_genfunc is the paper's
 antisymmetric generating function, written with q_binomial.
 
+identity_holds checks a multiplicity table against its generating function
+modulo the Mersenne prime P = 2^61 - 1 at one point q = Q, with
+omega_at_q and gaussian_at_q giving the generating functions' values there
+by the product formulas and value_at_q a polynomial's.
+
 digit_cap sets the interpreter's int/str digit cap for one test.
 
 Hypothesis runs under one profile: derandomized, with no example
@@ -71,6 +76,54 @@ def antisym_genfunc(twice_j: int, num: int) -> IntPolynomial:
 
     The zero polynomial under exclusion (N > 2j + 1), where q_binomial is."""
     return IntPolynomial((0,) * (num * (num - 1) // 2) + q_binomial(twice_j + 1, num).coeffs)
+
+
+P = 2**61 - 1
+Q = 37  # a primitive root mod P: Q^i - 1 is nonzero for 0 < i < P - 1
+
+
+def value_at_q(coeffs, q: int = Q) -> int:
+    """sum_n coeffs[n] q^n mod P by Horner's rule, at q = Q unless given."""
+    value = 0
+    for coeff in reversed(coeffs):
+        value = (value * q + coeff) % P
+    return value
+
+
+def gaussian_at_q(n: int, k: int) -> int:
+    """[n choose k]_q at q = Q, mod P, by the product formula; 0 unless 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    top = bottom = 1
+    for i in range(1, k + 1):
+        top = top * (pow(Q, n - k + i, P) - 1) % P
+        bottom = bottom * (pow(Q, i, P) - 1) % P
+    return top * pow(bottom, -1, P) % P
+
+
+def omega_at_q(spins: SpinMultiset) -> int:
+    """prod_a [d_a]_q^(N_a) = (q - 1)^(-N) prod_a (q^(d_a) - 1)^(N_a) at q = Q, mod P."""
+    value = pow(Q - 1, -spins.num_spins, P)
+    for twice_j, mult in spins.entries:
+        value = value * pow(pow(Q, twice_j + 1, P) - 1, mult, P) % P
+    return value
+
+
+def identity_holds(table: DecompositionTable, twice_j0: int, omega: int) -> bool:
+    """Whether sum_kappa lambda_kappa q^kappa (q^(2J_kappa + 1) - 1) = (q - 1) omega mod P.
+
+    J_kappa = J_0 - kappa, and omega is the generating function sum_n
+    Omega_n q^n at q = Q, to which each spin J_kappa adds q^kappa [2J_kappa + 1]_q.
+    A wrong table passes only if a nonzero polynomial of degree at most
+    2J_0 + 1 has the root Q.  Written out densely, the table is read twice,
+    at q and at 1/q, since q^kappa (q^(2J_kappa + 1) - 1) = q^(2J_0 + 1)
+    q^-kappa - q^kappa.
+    """
+    lams = [0] * ((twice_j0 - table.twice_js[-1]) // 2 + 1 if table else 0)
+    for twice_j, mult in table.entries:
+        lams[(twice_j0 - twice_j) // 2] = mult
+    down = value_at_q(lams, pow(Q, -1, P))
+    return (pow(Q, twice_j0 + 1, P) * down - value_at_q(lams) - (Q - 1) * omega) % P == 0
 
 
 def fold_pairwise(spins: SpinMultiset) -> dict[int, int]:

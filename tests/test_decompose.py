@@ -18,7 +18,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import binom, fold_pairwise, random_multiset, table_as_dict
+from conftest import (
+    binom,
+    fold_pairwise,
+    identity_holds,
+    omega_at_q,
+    random_multiset,
+    table_as_dict,
+)
 from spincg import (
     DecompositionTable,
     DomainError,
@@ -66,8 +73,8 @@ def test_omega_table_type():
     assert table.omega(0) == 1
     assert table.omega(5) == 0
     assert table.omega(-1) == 0
-    assert table.total == 2
-    assert table.to_polynomial().coeffs == (1, 1)
+    assert sum(table.values) == 2
+    assert IntPolynomial(table.values).coeffs == (1, 1)
     assert table.twice_j0 == 1
     assert OmegaTable(()).twice_j0 == -1
 
@@ -148,7 +155,8 @@ def test_renderers_write_past_the_int_digit_cap(digit_cap):
     # the multiplicities, Omega_n and the lambda coefficients of 1/2^2200
     # reach 659 to 663 digits, past 640, the smallest cap CPython accepts
     spins = parse_spins("1/2^2200")
-    table, omega, lam = decompose(spins), omega_genfunc(spins).to_polynomial(), lambda_genfunc(spins)
+    omega = IntPolynomial(omega_genfunc(spins).values)
+    table, lam = decompose(spins), lambda_genfunc(spins)
 
     def rendered():
         return (table.to_json_dict("1/2^2200"), str(omega), _polynomial_text(omega, "json", {}),
@@ -371,11 +379,39 @@ def _route_cases(seed: int) -> list[SpinMultiset]:
 
 def test_decompose_matches_the_differenced_omega_table():
     # decompose takes lambda_0 .. lambda_m straight from each method; the
-    # reference differences the full Omega table instead
+    # reference differences the full Omega table instead, and each table
+    # must satisfy the generating function's identity mod P
     for spins in _route_cases(20261020):
         reference = difference_decomposition(omega_genfunc(spins).values, spins.twice_j0)
+        omega = omega_at_q(spins)
         for method in METHODS:
-            assert decompose(spins, method) == reference, (spins, method)
+            table = decompose(spins, method)
+            assert table == reference, (spins, method)
+            assert identity_holds(table, spins.twice_j0, omega), (spins, method)
+
+
+def test_identity_holds_past_the_oracles_reach():
+    # 2^10000 states, 5001 multiplicities of up to 3007 digits
+    spins = parse_spins("1/2^10000")
+    table = decompose(spins)
+    assert len(table.mults) == 5001
+    assert identity_holds(table, spins.twice_j0, omega_at_q(spins))
+
+
+def test_identity_rejects_a_fault_the_audit_passes(monkeypatch):
+    # (+1, -2, +1) on three adjacent multiplicities keeps sum lambda (2J + 1)
+    # and J_min, so decompose returns the table; the identity rejects it
+    spins = parse_spins("1^12")
+    exact = decompose(spins)
+    assert identity_holds(exact, spins.twice_j0, omega_at_q(spins))
+    lams = list(exact.mults)
+    lams[4:7] = lams[4] + 1, lams[5] - 2, lams[6] + 1
+    module = importlib.import_module("spincg.decompose")
+    monkeypatch.setattr(module, "_lambda_head", lambda spins, top: lams)
+    faulty = decompose(spins)
+    assert faulty != exact and faulty.mults == tuple(lams)
+    assert (faulty.twice_jmin, faulty.total_dimension) == (exact.twice_jmin, exact.total_dimension)
+    assert not identity_holds(faulty, spins.twice_j0, omega_at_q(spins))
 
 
 def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import antisym_genfunc, table_as_dict
+from conftest import antisym_genfunc, gaussian_at_q, identity_holds, table_as_dict
 from spincg import (
     DomainError,
     IdenticalSystem,
@@ -33,9 +33,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_system_validation():
     system = IdenticalSystem(3, 2)
-    assert system.exclusion_shift == 1
+    # N(N-1)/2 = 1, the minimal excitation of an antisymmetric state, lowers J_0 by 1
+    shift = system.count * (system.count - 1) // 2
+    assert shift == 1 and antisym_decomposition(system).twice_j0 == 6 - 2 * shift
     assert system.as_multiset() == SpinMultiset.from_entries({3: 2})
-    assert system.canonical() == "3/2^2"
+    assert system.as_multiset().canonical() == "3/2^2"
     with pytest.raises(DomainError):
         IdenticalSystem(0, 2)
     with pytest.raises(DomainError):
@@ -65,12 +67,10 @@ def test_sym_coefficients_are_bounded_partitions():
 def test_antisym_coefficients_are_shifted_partitions():
     for twice_j in range(1, 6):
         for num in range(1, twice_j + 2):
-            system = IdenticalSystem(twice_j, num)
+            shift = num * (num - 1) // 2
             poly = antisym_genfunc(twice_j, num)
             for n in range(twice_j * num + 1):
-                expected = restricted_partitions(
-                    twice_j + 1 - num, num, n - system.exclusion_shift
-                )
+                expected = restricted_partitions(twice_j + 1 - num, num, n - shift)
                 assert poly[n] == expected
 
 
@@ -93,7 +93,10 @@ def test_decomposition_examples():
     # C(67, 33), beyond which each table costs milliseconds.  The
     # antisymmetric table equals one difference scan over its Omega table,
     # shifted by N(N-1)/2 and left empty by exclusion, which also reaches
-    # every symmetric table of 2j + N <= 65 through the complementary spin
+    # every symmetric table of 2j + N <= 65 through the complementary spin.
+    # Up to 2J_0 = 1200 both tables must satisfy the identity mod P against
+    # (q - 1) [2j' + N choose N]_q, 2j' = 2j for the symmetric table and 2j +
+    # 1 - N for the antisymmetric one
     for twice_j in range(1, 65):
         for num in range(1, twice_j + 4):
             system = IdenticalSystem(twice_j, num)
@@ -104,11 +107,17 @@ def test_decomposition_examples():
                                       for kappa in range(1, twice_j0 // 2 + 1)]
                 expected = tuple((twice_j0 - 2 * kappa, lam)
                                  for kappa, lam in enumerate(lams) if lam)
-                assert sym_decomposition(system).entries == expected, (twice_j, num)
+                sym = sym_decomposition(system)
+                assert sym.entries == expected, (twice_j, num)
+                for table, prime in ((sym, twice_j),
+                                     (antisym_decomposition(system), twice_j + 1 - num)):
+                    assert identity_holds(table, prime * num,
+                                          gaussian_at_q(prime + num, num)), (twice_j, num)
             anti = []
             if num <= twice_j + 1:
-                top = twice_j0 // 2 - system.exclusion_shift  # >= 0
-                anti = [0] * system.exclusion_shift + \
+                shift = num * (num - 1) // 2
+                top = twice_j0 // 2 - shift  # >= 0
+                anti = [0] * shift + \
                     _gaussian_coefficients(twice_j + 1, num, top)
             assert antisym_decomposition(system) == \
                 difference_decomposition(anti, twice_j0), (twice_j, num)

@@ -247,6 +247,18 @@ def test_a_verb_loads_only_its_modules_and_decompose_stays_the_function():
     assert lines[4:] == ["True"]
 
 
+def test_a_first_lookup_loads_only_the_production_modules():
+    # the cross-check bench/jobs.py reads off the package loads spincg.crosscheck
+    # only when it is read
+    lines = _fresh(
+        "import spincg\n"
+        "spincg.decompose\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spincg'))\n"
+        "print(spincg.lambda_univariate_hypergeometric is "
+        "spincg.crosscheck.lambda_univariate_hypergeometric)\n")
+    assert lines == ["spincg " + " ".join(f"spincg.{name}" for name in PRODUCTION), "True"]
+
+
 def test_star_import_binds_the_package_all():
     lines = _fresh(
         "namespace = {}\n"

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import binom
+from conftest import binom, gaussian_at_q, value_at_q
 from spincg import (
     DomainError,
     IntPolynomial,
@@ -115,6 +115,7 @@ def test_q_binomial_routes_agree():
     for a in range(0, 11):
         for b in range(0, a + 1):
             reference = q_binomial(a, b)
+            assert value_at_q(reference.coeffs) == gaussian_at_q(a, b), (a, b)
             assert q_binomial_by_division(a, b) == reference
             assert q_binomial_convolution(a, b) == reference
             assert subset_sum_gaussian(a, b) == reference
@@ -125,7 +126,9 @@ def test_q_binomial_routes_agree():
     for a in range(11, 31):
         for b in {0, 1, a // 3, a // 2, a - 1, a}:
             parities.add(b * (a - b) % 2)
-            assert q_binomial(a, b) == q_binomial_by_division(a, b), (a, b)
+            poly = q_binomial(a, b)
+            assert value_at_q(poly.coeffs) == gaussian_at_q(a, b), (a, b)
+            assert poly == q_binomial_by_division(a, b), (a, b)
     assert parities == {0, 1}
     assert q_binomial_by_division(3, 4).coeffs == ()
     with pytest.raises(DomainError):
