@@ -24,7 +24,7 @@ import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from math import comb, prod
 from operator import add, gt, mul, neg, sub
 
@@ -219,9 +219,9 @@ def _omega_at(spins: SpinMultiset, n: int) -> int:
     steps = min(n, span - n)
     choices = prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
     if 6 * steps * (spins.num_distinct + 1) < choices * (spins.num_spins - 1):
-        if steps > sys.maxsize:  # past islice's reach, and main's exit 4
+        if steps > sys.maxsize:  # a run that would not end; main's exit 4
             raise OverflowError(f"Omega recurrence of {steps} steps")
-        return next(islice(accumulate(_lambda_coefficients(spins.entries, steps)), steps, None))
+        return sum(_lambda_coefficients(spins.entries, steps))
     return omega_binomial(spins, n)
 
 

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
-from pathlib import Path
 
 import pytest
 
@@ -26,8 +22,6 @@ from spincg import (
     parse_composition_spec,
     riordan,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 RIORDAN = [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
@@ -109,38 +103,6 @@ def test_sequence_walk_is_audited(monkeypatch, fault, ranks):
         with pytest.raises(ValueError) as caught:
             counting._sequence(term, 30)
         assert str(caught.value) == f"inconsistent Omega table for rank {rank} of dim {dim}"
-
-
-def test_sequence_audit_survives_optimized_mode():
-    # python -O strips asserts (the script's first assert proves it); the
-    # walk's audit must still raise there
-    script = (
-        "import itertools, sys\n"
-        "assert False, 'asserts are on'\n"
-        "from spincg import counting\n"
-        "def faulty(values):\n"
-        "    partial = list(itertools.accumulate(values))\n"
-        "    partial[-1] += 1\n"
-        "    return partial\n"
-        "counting.accumulate = faulty\n"
-        "for term in ('catalan', 'riordan'):\n"
-        "    try:\n"
-        "        counting._sequence(term, 30)\n"
-        "    except ValueError as exc:\n"
-        "        print(term, exc)\n"
-        "    else:\n"
-        "        sys.exit(1)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "catalan inconsistent Omega table for rank 2 of dim 2",
-        "riordan inconsistent Omega table for rank 2 of dim 3",
-    ]
 
 
 def test_isotropic_isomers():

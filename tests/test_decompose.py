@@ -6,14 +6,11 @@ import dataclasses
 import importlib
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
 from itertools import accumulate
 from operator import sub
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,8 +50,6 @@ from spincg.decompose import METHODS, lambda_binomial, omega_composition
 from spincg.decompose import _alternating_table, _composition_counts, _fill
 from spincg.decompose import _lambda_coefficients, _omega_at
 from spincg.qpoly import _q_ratio_product
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 WORKED = parse_spins("1/2^2,1^4")
 WORKED_OMEGA = (1, 6, 19, 40, 61, 70, 61, 40, 19, 6, 1)
@@ -240,40 +235,16 @@ def test_omega_genfunc_matches_schoolbook_product():
 
 
 def test_omega_recurrence_rejects_an_inexact_step():
-    # the exact division by n in the recurrence is an if/raise, so python
-    # -O (which strips asserts; the script's first assert proves it) still
-    # stops on a wrong coefficient.  Off(100) is a multiplicity of 100 whose
-    # species weight d * Off(100) comes out one too large (int calls a
-    # subclass's __rmul__ first), so 3 lambda_3 = 99 * 5050 - 301 is not a
-    # multiple of 3.  The same case runs in-process first, then in the
-    # subprocess.
+    # the exact division by n in the recurrence is an if/raise, so a wrong
+    # coefficient stops it.  Off(100) is a multiplicity of 100 whose species
+    # weight d * Off(100) comes out one too large (int calls a subclass's
+    # __rmul__ first), so 3 lambda_3 = 99 * 5050 - 301 is not a multiple of 3
     class Off(int):
         def __rmul__(self, other):
             return int(self) * other + 1
 
     with pytest.raises(ArithmeticError, match="inexact step at n=3"):
         list(_lambda_coefficients(((2, Off(100)),), 50))
-    script = (
-        "import importlib, sys\n"
-        "assert False, 'asserts are on'\n"
-        "d = importlib.import_module('spincg.decompose')\n"
-        "class Off(int):\n"
-        "    def __rmul__(self, other):\n"
-        "        return int(self) * other + 1\n"
-        "try:\n"
-        "    list(d._lambda_coefficients(((2, Off(100)),), 50))\n"
-        "except ArithmeticError as exc:\n"
-        "    print(exc)\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert "inexact step at n=3" in result.stdout
 
 
 def test_single_omega_matches_the_binomial_sum_on_both_routes():
@@ -295,51 +266,6 @@ def test_single_omega_matches_the_binomial_sum_on_both_routes():
                 routes[6 * steps * (sigma + 1) < choices * (spins.num_spins - 1)] += 1
             assert _omega_at(spins, n) == omega_binomial(spins, n), (spins, n)
     assert min(routes.values()) >= 40, routes
-
-
-def test_decompose_checks_survive_optimized_mode():
-    # python -O strips asserts (the script's first assert proves it); the
-    # post-conditions of decompose must still reject a wrong multiplicity
-    # table there, on each route: the faults go into the module globals
-    # decompose calls for the binomial table, the genfunc multiplicities and
-    # the composition counts
-    script = (
-        "import importlib, sys\n"
-        "assert False, 'asserts are on'\n"
-        "d = importlib.import_module('spincg.decompose')\n"
-        "spins = d.SpinMultiset.from_entries({2: 3})\n"
-        "exact_table, exact_head = d._alternating_table, d._lambda_head\n"
-        "exact_counts = d._composition_counts\n"
-        "def raised_head(spins, top):\n"
-        "    values = list(exact_head(spins, top))\n"
-        "    values[1] += 1\n"
-        "    return values\n"
-        "def raised_counts(spins, top):\n"
-        "    values = exact_counts(spins, top)\n"
-        "    values[1] += 1\n"
-        "    return values\n"
-        "d._alternating_table = lambda *args: [v + 1 for v in exact_table(*args)]\n"
-        "d._lambda_head = raised_head\n"
-        "d._composition_counts = raised_counts\n"
-        "for method in ('binomial', 'genfunc', 'composition'):\n"
-        "    try:\n"
-        "        d.decompose(spins, method)\n"
-        "    except ValueError as exc:\n"
-        "        print(method, exc)\n"
-        "    else:\n"
-        "        sys.exit(1)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "binomial inconsistent decomposition of 1^3",
-        "genfunc inconsistent decomposition of 1^3",
-        "composition inconsistent decomposition of 1^3",
-    ]
 
 
 def _route_cases(seed: int) -> list[SpinMultiset]:
@@ -415,12 +341,16 @@ def test_identity_rejects_a_fault_the_audit_passes(monkeypatch):
 
 
 def test_decompose_audit_rejects_an_inconsistent_table(monkeypatch):
-    # the same audit in-process: a table that misses the multiset's total
-    # dimension (5, not 4) is a ValueError, not a result
+    # each method's kernel is made to give the multiplicities 1, 2 (the
+    # composition counts 1, 3), whose total dimension (5, not 4) misses the
+    # multiset's: the audit makes that a ValueError, not a result
     module = importlib.import_module("spincg.decompose")
     monkeypatch.setattr(module, "_lambda_head", lambda spins, top: [1, 2])
-    with pytest.raises(ValueError, match=r"inconsistent decomposition of 1/2\^2"):
-        decompose(parse_spins("1/2^2"))
+    monkeypatch.setattr(module, "_alternating_table", lambda entries, top, last: [1, 2])
+    monkeypatch.setattr(module, "_composition_counts", lambda spins, top: [1, 3])
+    for method in METHODS:
+        with pytest.raises(ValueError, match=r"inconsistent decomposition of 1/2\^2"):
+            decompose(parse_spins("1/2^2"), method)
 
 
 def test_omega_table_methods_agree():

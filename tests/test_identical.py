@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,8 +23,6 @@ from spincg import (
 )
 from spincg.decompose import difference_decomposition
 from spincg.qpoly import _gaussian_coefficients
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_system_validation():
@@ -187,39 +181,6 @@ def test_identical_tables_are_audited(monkeypatch):
                 with pytest.raises(ValueError, match="inconsistent symmetric table"):
                     antisym_decomposition(system)
     assert not antisym_decomposition(IdenticalSystem(2, 4))  # exclusion builds no table
-
-
-def test_identical_audit_survives_optimized_mode():
-    # python -O strips asserts (the script's first assert proves it); the
-    # audit of the symmetric and antisymmetric tables must still raise there
-    script = (
-        "import importlib, sys\n"
-        "assert False, 'asserts are on'\n"
-        "i = importlib.import_module('spincg.identical')\n"
-        "exact = i._gaussian_coefficients\n"
-        "def raised(*args):\n"
-        "    values = list(exact(*args))\n"
-        "    values[-1] += 1\n"
-        "    return values\n"
-        "i._gaussian_coefficients = raised\n"
-        "for name in ('sym_decomposition', 'antisym_decomposition'):\n"
-        "    try:\n"
-        "        getattr(i, name)(i.IdenticalSystem(5, 3))\n"
-        "    except ValueError as exc:\n"
-        "        print(name, exc)\n"
-        "    else:\n"
-        "        sys.exit(1)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "sym_decomposition inconsistent symmetric table for 2j = 5, N = 3",
-        "antisym_decomposition inconsistent symmetric table for 2j = 3, N = 3",
-    ]
 
 
 def test_matches_oracles():

@@ -6,7 +6,9 @@ would otherwise break only the benchmark.  The package exports exactly
 the __all__ of each production module; the cross-checks live in
 spincg.crosscheck, which no production module imports.  The package loads
 its modules on demand, so fresh interpreters check what importing the
-parser, running a verb and a star import load and bind.
+parser, running a verb and a star import load and bind.  Scans of each
+module's ast check its imports and argparse use, and that it holds no
+assert, __debug__ or sys.flags read, the only things python -O changes.
 """
 
 from __future__ import annotations
@@ -200,6 +202,35 @@ def test_no_unused_import_in_src():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def _optimized_mode_reads(source: str, name: str) -> list[str]:
+    """Where source does what python -O changes: an assert, __debug__ or sys.flags."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append(f"{name}:{node.lineno}: assert")
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append(f"{name}:{node.lineno}: __debug__")
+        elif isinstance(node, ast.Attribute) and node.attr == "flags" and \
+                isinstance(node.value, ast.Name) and node.value.id == "sys":
+            found.append(f"{name}:{node.lineno}: sys.flags")
+    return found
+
+
+def test_src_runs_the_same_under_optimized_mode():
+    # python -O drops assert statements and __debug__ code and sets
+    # sys.flags.optimize, and changes nothing else a module can see; so a
+    # src/ that uses none of the three runs the same program under -O, and
+    # every audit stays an if/raise that its fault test shows firing
+    planted = "assert x\nif __debug__:\n    pass\nsys.flags.optimize\n"
+    assert _optimized_mode_reads(planted, "planted") == [
+        "planted:1: assert", "planted:2: __debug__", "planted:4: sys.flags"]
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert {*PRODUCTION, "cli"} <= {path.stem for path in sources}
+    found = [line for path in sources
+             for line in _optimized_mode_reads(path.read_text(), path.name)]
+    assert found == []
 
 
 def test_no_private_argparse_attribute_in_src():
