@@ -16,6 +16,7 @@ import pytest
 
 from spincg import cli, counting, qpoly
 from spincg.cli import main
+from spincg.spins import decimal_text
 
 
 def run(capsys, *argv):
@@ -207,15 +208,16 @@ def test_numbers_past_the_int_digit_cap_are_usage_errors(capsys, digit_cap):
 
 def test_sequences_and_partitions_write_past_the_int_digit_cap(capsys, monkeypatch,
                                                                digit_cap):
-    # no verb of these reaches 640 digits cheaply, so the counts are stood in for
-    monkeypatch.setattr(counting, "_sequence",
-                        lambda term, count: [10**700 + v for v in range(count)])
+    # C_1071 .. C_1099 have 641 to 657 digits; no partitions call reaches 640
+    # digits cheaply, so its count is stood in for
     monkeypatch.setattr(qpoly, "restricted_partitions", lambda n, m, k: -(10**700))
     digit_cap(640)  # the smallest cap CPython accepts
-    _, out, _ = run(capsys, "catalan", "--count", "2")
+    _, out, _ = run(capsys, "catalan", "--count", "1100")
     _, out2, _ = run(capsys, "partitions", "--max-part", "1", "--max-parts", "1", "--k", "1")
-    big = "1" + "0" * 700
-    assert (out, out2) == (f"{big} {big[:-1]}1\n", f"-{big}\n")
+    catalans = [math.comb(2 * v, v) // (v + 1) for v in range(1100)]
+    assert len(decimal_text(catalans[-1])) == 657
+    assert out == " ".join(map(decimal_text, catalans)) + "\n"
+    assert out2 == f"-1{'0' * 700}\n"
 
 
 def test_results_past_the_int_digit_cap_print_in_full(capsys):
@@ -459,7 +461,7 @@ HOSTILE_ARGVS = [
     # Pauli exclusion leaves no states, whatever the span 2J_0 = 10^11 - 1
     (("oracle", "--j", "1/2", "--num", "99999999999", "--composition", "antisymmetric"),
      (0, "spins: 1/2^99999999999\ncomposition: antisymmetric\nno states (exclusion)\n", "")),
-    # sequence runs past the --count limit are refused before the walk starts
+    # sequence runs past the --count limit are refused before the run starts
     (("catalan", "--count", "99999999999"), (4, "", "error: --count must be <= 5000\n")),
     (("riordan", "--count", "99999999999"), (4, "", "error: --count must be <= 5000\n")),
     # a sum below the number of dice has probability 0, with no 6^n to build
@@ -525,7 +527,8 @@ HOSTILE_ARGVS = [
 ]
 
 
-def test_running_out_of_memory_exits_4():
+def _run_limited(argv):
+    """argv through the CLI in a child under a 1 GiB address space and 10 s of CPU."""
     resource = pytest.importorskip("resource")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -535,13 +538,41 @@ def test_running_out_of_memory_exits_4():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
 
+    return subprocess.run(
+        [sys.executable, "-c", wrapper, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit_address_space_and_time,
+    )
+
+
+def test_running_out_of_memory_exits_4():
     for argv, expected in HOSTILE_ARGVS:
-        result = subprocess.run(
-            [sys.executable, "-c", wrapper, *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=limit_address_space_and_time,
-        )
+        result = _run_limited(argv)
         assert (result.returncode, result.stdout, result.stderr) == expected, argv
+
+
+def test_sequence_runs_at_the_limit_end_and_are_right():
+    # references that share nothing with the production recurrences: the
+    # closed form C_v = C(2v, v) / (v + 1), with C(2v, v) = C(2v-2, v-1) 2v(2v-1)
+    # / v^2 and its last term held to math.comb (a math.comb call per term
+    # takes seconds), and R_{n+1} = M_n - R_n from the Motzkin numbers,
+    # (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2} (OEIS A001006)
+    limit = counting.SEQUENCE_COUNT_LIMIT
+    centrals = [1]
+    for v in range(1, limit):
+        centrals.append(centrals[-1] * (2 * v) * (2 * v - 1) // (v * v))
+    assert centrals[-1] == math.comb(2 * limit - 2, limit - 1)
+    catalans = [central // (v + 1) for v, central in enumerate(centrals)]
+    motzkins = [1, 1]
+    for n in range(2, limit):
+        motzkins.append(((2 * n + 1) * motzkins[-1] + 3 * (n - 1) * motzkins[-2]) // (n + 2))
+    riordans = [1]
+    for n in range(limit - 1):
+        riordans.append(motzkins[n] - riordans[n])
+    for term, terms in (("catalan", catalans), ("riordan", riordans)):
+        result = _run_limited((term, "--count", str(limit)))
+        assert (result.returncode, result.stderr) == (0, ""), term
+        assert result.stdout == " ".join(map(decimal_text, terms)) + "\n", term
 
 
 def test_usage_errors_from_argparse(capsys):

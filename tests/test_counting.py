@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 
@@ -48,8 +48,8 @@ def test_riordan():
         riordan(-2)
 
 
-def test_sequence_walk_matches_every_route():
-    # the walk's runs against the decompose route, the closed form of C_v
+def test_sequence_run_matches_every_route():
+    # the runs against the decompose route, the closed form of C_v
     # and the Riordan recurrence, at every count up to 90
     top = 90
     catalans = [catalan(v) for v in range(top)]
@@ -76,33 +76,21 @@ def test_sequence_count_limits(monkeypatch):
             counting._sequence(term, -1)
 
 
-def _faulty_accumulate(fault):
-    # the walk's partial sums, changed by fault: a stand-in for a wrong table
-    def faulty(values):
-        partial = list(accumulate(values))
-        fault(partial)
-        return partial
-
-    return faulty
+def test_sequence_run_checks_each_division(monkeypatch):
+    # from (R_0, R_1) = (1, 1) the step at v = 2 reads 1 * (2 + 3) = 5, which 3 does not divide
+    monkeypatch.setitem(counting._STARTS, "riordan", (1, 1))
+    with pytest.raises(ArithmeticError) as caught:
+        counting._sequence("riordan", 30)
+    assert str(caught.value) == "riordan recurrence: inexact step at v=2"
 
 
-def _raise_last(partial):
-    partial[-1] += 1
-
-
-def _move_first(partial):
-    # Omega_0 one lower and Omega_dim one higher: the table's sum stays right
-    if len(partial) > 6:
-        partial[0] -= 1
-
-
-@pytest.mark.parametrize("fault, ranks", [(_raise_last, (2, 2)), (_move_first, (12, 6))])
-def test_sequence_walk_is_audited(monkeypatch, fault, ranks):
-    monkeypatch.setattr(counting, "accumulate", _faulty_accumulate(fault))
-    for term, dim, rank in zip(("catalan", "riordan"), (2, 3), ranks):
-        with pytest.raises(ValueError) as caught:
-            counting._sequence(term, 30)
-        assert str(caught.value) == f"inconsistent Omega table for rank {rank} of dim {dim}"
+def test_sequence_run_is_audited_by_its_last_term(monkeypatch):
+    # from (C_0, C_1) = (1, 2) the run doubles every term from v = 1 on and every
+    # division stays exact, so only the last term's check against decompose sees it
+    monkeypatch.setitem(counting._STARTS, "catalan", (1, 2))
+    with pytest.raises(ValueError) as caught:
+        counting._sequence("catalan", 30)
+    assert str(caught.value) == "inconsistent catalan run: term 29 is not its singlet"
 
 
 def test_isotropic_isomers():

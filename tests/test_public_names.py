@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
     "SpinParseError",
     "__version__",  # the package's version, which no verb prints
     "antisym_decomposition",
-    "catalan",  # one term by name; the catalan verb walks counting._sequence
+    "catalan",  # one term by name; the catalan verb runs counting._sequence
     "count_compositions",
     "decompose",
     "dice_probability",
@@ -63,7 +63,7 @@ PUBLIC_NAMES = [
     "partitions_at_most",  # bench/jobs.py's deep-span job reads it
     "q_binomial",
     "restricted_partitions",
-    "riordan",  # one term by name; the riordan verb walks counting._sequence
+    "riordan",  # one term by name; the riordan verb runs counting._sequence
     "spin_label",
     "sym_decomposition",
 ]
