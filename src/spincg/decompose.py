@@ -156,18 +156,20 @@ def omega_genfunc(spins: SpinMultiset) -> OmegaTable:
 
 
 def _lambda_head(spins: SpinMultiset, top: int) -> Iterable[int]:
-    """lambda_0 .. lambda_top, the coefficients of G_lambda = (1 - q) prod [2j+1]_q.
-
-    The logarithmic-derivative recurrence of _lambda_coefficients costs
-    sigma + 1 products per coefficient, whatever the number N of spins; the
-    q-ratio kernel takes two C-level passes over the list per spin, after
-    the pair (1, 0) (times 1 - q, no running sum).  The recurrence runs
-    when 2 (sigma + 1) < N: just past that, the kernel took 1.04-1.50 times
-    as long for sigma = 1 .. 8 (CPython 3.11).
-    """
-    if 2 * (spins.num_distinct + 1) < spins.num_spins:
+    """lambda_0 .. lambda_top of G_lambda = (1 - q) prod [2j+1]_q; the pair (1, 0) is 1 - q."""
+    if _lambda_by_recurrence(spins.num_distinct, spins.num_spins):
         return _lambda_coefficients(spins.entries, top)
     return _q_ratio_product([(1, 0), *((tj + 1, 1) for tj in spins.twice_spins)], top)
+
+
+def _lambda_by_recurrence(num_distinct: int, num_spins: int) -> bool:
+    """_lambda_head's route: the recurrence when 2 (sigma + 1) < N, else the q-ratio kernel.
+
+    The recurrence costs sigma + 1 products per coefficient whatever N is,
+    the q-ratio kernel two C-level passes over the list per spin.  Just past
+    the rule the kernel took 1.04-1.50x as long for sigma = 1..8 (CPython 3.11).
+    """
+    return 2 * (num_distinct + 1) < num_spins
 
 
 def _lambda_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Iterator[int]:
@@ -203,26 +205,30 @@ def _lambda_coefficients(entries: tuple[tuple[int, int], ...], top: int) -> Iter
 
 
 def _omega_at(spins: SpinMultiset, n: int) -> int:
-    """Single Omega_n by the cheaper of the recurrence and the binomial sum.
-
-    The recurrence's prefix sum runs to m = min(n, 2J_0 - n), the nearer
-    end of the palindrome: about m (sigma + 1) products.  omega_binomial
-    visits at most prod_a (min(N_a, n // d_a) + 1) choices (s_a), each a
-    binomial of about N - 1 products.  With a recurrence product weighted 6
-    (5 to 8 measured alike), the route taken cost 1.08x the faster one in
-    geometric mean over 1,500 seeded pairs (CPython 3.11); a cost model is
-    still open.  Out-of-range n returns 0.
-    """
+    """Single Omega_n by the route _omega_by_recurrence picks; out-of-range n returns 0."""
     span = spins.twice_j0
     if n < 0 or n > span:
         return 0
     steps = min(n, span - n)
-    choices = prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
-    if 6 * steps * (spins.num_distinct + 1) < choices * (spins.num_spins - 1):
+    if _omega_by_recurrence(spins, n, steps):
         if steps > sys.maxsize:  # a run that would not end; main's exit 4
             raise OverflowError(f"Omega recurrence of {steps} steps")
         return sum(_lambda_coefficients(spins.entries, steps))
     return omega_binomial(spins, n)
+
+
+def _omega_by_recurrence(spins: SpinMultiset, n: int, steps: int) -> bool:
+    """_omega_at's route: the recurrence's prefix sum, else omega_binomial.
+
+    The prefix sum runs to steps = min(n, 2J_0 - n), the nearer end of the
+    palindrome: about steps (sigma + 1) products.  omega_binomial visits at
+    most prod_a (min(N_a, n // d_a) + 1) choices (s_a), each a binomial of
+    about N - 1 products.  With a recurrence product weighted 6 (5 to 8
+    measured alike), the route taken cost 1.08x the faster one in geometric
+    mean over 1,500 seeded pairs (CPython 3.11); a cost model is still open.
+    """
+    choices = prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
+    return 6 * steps * (spins.num_distinct + 1) < choices * (spins.num_spins - 1)
 
 
 def _species_coefficients(entries: tuple[tuple[int, int], ...], last: int) -> dict[int, int]:

@@ -139,30 +139,34 @@ def _gaussian_coefficients(a: int, b: int, top: int) -> list[int]:
     no harm.  The coefficients of [a choose b]_q are nonnegative and sum to
     C(a, b) = C(a, c), so each lies in [0, C(a, c)], and when C(a, c) < 2^64
     the 64-bit words of the residue are exactly the coefficients.
-
-    Route rule.  The packed form pays about log2(top / v) full-width passes
-    per denominator where the list pays two passes per factor and one slice
-    per residue class, v per denominator, so it wins with many factors over
-    short spans.  With top at half the degree, the list/packed time ratio
-    read 1.0-1.9 at top = 4 c^2 for c = 2..12 (medians of 5); then 0.7-1.0
-    for c = 2 at every top from 2 c^2 to 36 c^2, 1.1-1.7 for c = 3 up to
-    9 c^2 and 1.0 from 16 c^2, and 1.1-1.6 for c = 4..6 at 8-36 c^2 (best
-    of 15; CPython 3.11, one KVM core).  So it packs for top <= c^4 where
-    c = 3..6, which stays inside that grid, and for top <= 4 c^2 elsewhere.
-    c^4 does not carry on past c = 6: at tops from 4 c^2 to c^4 the ratio
-    read 1.4-2.3 with top at half the degree for c = 7..14, but down to
-    0.77-0.88 for c = 7..10 at the largest a a word allows, where top is a
-    short span (medians of 21 alternating runs, CPython 3.11.7).  No
-    c >= 15 has such a top at or below half the degree.  c = 1 read 1.1-1.5
-    at every top up to 8, and c = 2 read 1.0 at 8 c^2.  The list kernel
-    runs beyond.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests
-    c <= 33 first and evaluates comb only where a word can hold it.
     """
     c = min(b, a - b)
-    limit = c**4 if 3 <= c <= 6 else 4 * c * c
-    if c <= 33 and top <= limit and comb(a, c) < 1 << _WORD:
+    if _gaussian_packed(a, c, top):
         return _packed_gaussian(a - c, c, top)
     return _q_ratio_product([(a - c + i, i) for i in range(1, min(c, top) + 1)], top)
+
+
+def _gaussian_packed(a: int, c: int, top: int) -> bool:
+    """_gaussian_coefficients' route for [a choose c]_q to q^top: packed, else the list.
+
+    The packed form pays about log2(top / v) full-width passes per denominator
+    where the list pays two passes per factor and one slice per residue class,
+    v per denominator, so it wins with many factors over short spans.  With top
+    at half the degree, the list/packed time ratio read 1.0-1.9 at top = 4 c^2
+    for c = 2..12 (medians of 5); then 0.7-1.0 for c = 2 at every top from
+    2 c^2 to 36 c^2, 1.1-1.7 for c = 3 up to 9 c^2 and 1.0 from 16 c^2, and
+    1.1-1.6 for c = 4..6 at 8-36 c^2 (best of 15; CPython 3.11, one KVM core).
+    So it packs for top <= c^4 where c = 3..6, which stays inside that grid,
+    and for top <= 4 c^2 elsewhere.  c^4 does not carry on past c = 6: at tops
+    from 4 c^2 to c^4 the ratio read 1.4-2.3 with top at half the degree for
+    c = 7..14, but down to 0.77-0.88 for c = 7..10 at the largest a a word
+    allows, where top is a short span (medians of 21 alternating runs, CPython
+    3.11.7).  No c >= 15 has such a top at or below half the degree.  c = 1
+    read 1.1-1.5 at every top up to 8, and c = 2 read 1.0 at 8 c^2.  The list
+    kernel runs beyond.  C(2c, c) >= 2^64 from c = 34 on, so the rule tests
+    c <= 33 first and evaluates comb only where a word can hold it.
+    """
+    return c <= 33 and top <= (c**4 if 3 <= c <= 6 else 4 * c * c) and comb(a, c) < 1 << _WORD
 
 
 def _packed_gaussian(offset: int, c: int, top: int) -> list[int]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
-import math
 import random
 import sys
 import tracemalloc
@@ -48,7 +47,8 @@ from spincg.crosscheck import (
 )
 from spincg.decompose import METHODS, lambda_binomial, omega_composition
 from spincg.decompose import _alternating_table, _composition_counts, _fill
-from spincg.decompose import _lambda_coefficients, _omega_at
+from spincg.decompose import _lambda_by_recurrence, _lambda_coefficients, _omega_at
+from spincg.decompose import _omega_by_recurrence
 from spincg.qpoly import _q_ratio_product
 
 WORKED = parse_spins("1/2^2,1^4")
@@ -248,8 +248,8 @@ def test_omega_recurrence_rejects_an_inexact_step():
 
 
 def test_single_omega_matches_the_binomial_sum_on_both_routes():
-    # _omega_at takes the recurrence when 6 m (sigma + 1) < choices (N - 1)
-    # and omega_binomial otherwise; both sides must give the binomial sum's
+    # _omega_at takes the recurrence where _omega_by_recurrence says so and
+    # omega_binomial otherwise; both sides must give the binomial sum's
     # value, out-of-range n included
     rng = random.Random(20261018)
     routes = {True: 0, False: 0}
@@ -260,19 +260,31 @@ def test_single_omega_matches_the_binomial_sum_on_both_routes():
         spins = SpinMultiset.from_entries(entries)
         span = spins.twice_j0
         for n in (rng.randint(0, span), rng.randint(0, min(span, 12)), -1, span + 1):
-            steps = min(n, span - n)
-            choices = math.prod(min(mult, n // (tj + 1)) + 1 for tj, mult in spins.entries)
             if 0 <= n <= span:
-                routes[6 * steps * (sigma + 1) < choices * (spins.num_spins - 1)] += 1
+                routes[_omega_by_recurrence(spins, n, min(n, span - n))] += 1
             assert _omega_at(spins, n) == omega_binomial(spins, n), (spins, n)
     assert min(routes.values()) >= 40, routes
+
+
+@pytest.mark.parametrize("sigma", range(1, 9))
+def test_lambda_route_rule_at_its_boundary(sigma):
+    # the q-ratio kernel up to N = 2 (sigma + 1), the recurrence one spin past it
+    assert _lambda_by_recurrence(sigma, 2 * (sigma + 1)) is False
+    assert _lambda_by_recurrence(sigma, 2 * (sigma + 1) + 1) is True
+
+
+@pytest.mark.parametrize("spins, recurrence", [("1/2^13", False), ("1/2^14", True)])
+def test_omega_route_rule_at_its_boundary(spins, recurrence):
+    # n = steps = 2, sigma = 1, choices = 2: the weighted recurrence cost
+    # 6 * 2 * 2 = 24 against 2 (N - 1) = 24 (a tie, so omega_binomial) and 26
+    assert _omega_by_recurrence(parse_spins(spins), 2, 2) is recurrence
 
 
 def _route_cases(seed: int) -> list[SpinMultiset]:
     """300 seeded multisets of five kinds, each kind at least 60 times.
 
-    Both sides of the recurrence rule 2 (sigma + 1) < N, one dominant spin
-    (m below floor(J_0)), single spins and N = 2.
+    Both sides of _lambda_by_recurrence, one dominant spin (m below
+    floor(J_0)), single spins and N = 2.
     """
     rng = random.Random(seed)
     kinds = {"recurrence": 0, "kernel": 0, "dominant": 0, "single": 0, "pair": 0}
@@ -293,8 +305,9 @@ def _route_cases(seed: int) -> list[SpinMultiset]:
             entries[twice_j] = entries.get(twice_j, 0) + 1
         spins = SpinMultiset.from_entries(entries)
         m, half = spins.distinct_j_count - 1, spins.twice_j0 // 2
-        kinds["recurrence"] += 2 * (spins.num_distinct + 1) < spins.num_spins
-        kinds["kernel"] += 2 * (spins.num_distinct + 1) >= spins.num_spins
+        by_recurrence = _lambda_by_recurrence(spins.num_distinct, spins.num_spins)
+        kinds["recurrence"] += by_recurrence
+        kinds["kernel"] += not by_recurrence
         kinds["dominant"] += m < half
         kinds["single"] += spins.num_spins == 1
         kinds["pair"] += spins.num_spins == 2

@@ -26,7 +26,8 @@ from spincg.crosscheck import (
     q_factorial,
 )
 from spincg.oracles import oracle_restricted_partitions
-from spincg.qpoly import _gaussian_coefficients, _packed_gaussian, _q_ratio_product
+from spincg.qpoly import _gaussian_coefficients, _gaussian_packed, _packed_gaussian
+from spincg.qpoly import _q_ratio_product
 
 
 # ---------------------------------------------------------------- polynomials
@@ -206,7 +207,7 @@ def test_packed_gaussian_matches_list_kernel():
                 if top <= degree:
                     assert _gaussian_coefficients(a, b, top) == full[: top + 1], (a, b, top)
                     assert _packed_gaussian(a - c, c, top) == full[: top + 1], (a, b, top)
-                    packed += top == 4 * c * c
+                    packed += _gaussian_packed(a, c, top)
     assert packed > 500
     # c = 7 at c^4, where the rule keeps the list kernel: a = 693 is the
     # least a whose half span reaches 7^4 = 2401, and C(693, 7) fits a word
@@ -228,8 +229,10 @@ def test_packed_gaussian_matches_factorial_division():
 
 
 def test_word_boundary():
-    # C(67, 33) is the widest central binomial a 64-bit word holds
+    # C(67, 33) is the widest central binomial a 64-bit word holds, and
+    # 6,074,001,000 the largest a whose C(a, 2) a word holds
     assert math.comb(67, 33) < 1 << 64 <= math.comb(68, 34)
+    assert math.comb(6074001000, 2) < 1 << 64 <= math.comb(6074001001, 2) < 1 << 65
     for a, b in ((67, 33), (67, 34), (68, 34), (68, 33), (69, 34)):
         degree = b * (a - b)
         for top in (degree // 2, degree):
@@ -244,7 +247,17 @@ def test_word_boundary():
         top = b * (a - b) // 2
         got = _gaussian_coefficients(a, b, top)
         assert top <= 4 * b * b and max(got) >= 1 << 64
+        assert not _gaussian_packed(a, b, top)
         assert got == list_gaussian(a, b, top)
+
+
+@pytest.mark.parametrize("a, c, top, packed", [
+    (100, 6, 1296, True), (100, 6, 1297, False),  # top <= c^4 for c = 6
+    (693, 7, 196, True), (693, 7, 197, False), (693, 7, 2401, False),  # 4 c^2 for c = 7
+    (6074001000, 2, 16, True), (6074001001, 2, 16, False),  # C(a, 2) < 2^64
+])
+def test_gaussian_route_rule_at_its_boundary(a, c, top, packed):
+    assert _gaussian_packed(a, c, top) is packed
 
 
 def test_restricted_partitions_match_oracle_at_the_route_rule():
