@@ -11,13 +11,13 @@ independence is the point; an oracle that shared code with the fast path
 would prove nothing.
 
 Each oracle raises DomainError where its fast counterpart does (a negative
-2j, N, n or m), then checks its budget, the most states it may enumerate
-(default DEFAULT_MAX_STATES, one million): BudgetExceededError comes before
-any work where the count is known up front, and as the walk passes the
-budget where it is not.  The package exports the oracles the oracle verb
-runs; oracle_restricted_partitions, restricted_partitions' reference, is read
-from here.  oracle_sym(a - b, b) is q_binomial(a, b)'s: its level multisets
-l_1 <= .. <= l_b are the b-subsets of {1..a} through s_i = l_i + i.
+2j or N), then checks its budget, the most states it may enumerate (default
+DEFAULT_MAX_STATES, one million): BudgetExceededError comes before any work.
+The package exports the oracles the oracle verb runs.  oracle_sym(a - b, b)
+is q_binomial(a, b)'s: its level multisets l_1 <= .. <= l_b are the
+b-subsets of {1..a} through s_i = l_i + i.  oracle_sym(n, m).omega(k) is
+restricted_partitions(n, m, k)'s: its multisets of m levels from 0 .. n are
+the partitions of k into at most m parts, each part <= n.
 """
 
 from __future__ import annotations
@@ -118,45 +118,3 @@ def oracle_antisym(
     levels = combinations(range(twice_j + 1), count)
     return OmegaTable(_histogram(levels, sum(range(twice_j + 1 - count, twice_j + 1))))
 
-
-def oracle_restricted_partitions(
-    n: int, m: int, k: int, budget: int = DEFAULT_MAX_STATES
-) -> int:
-    """p(n, m, k) by listing the partitions themselves.
-
-    Walks nonincreasing part sequences directly, depth first on an explicit
-    stack, largest part first; each visited node counts against the budget.
-    A node is (sum still to place, largest part allowed, parts left).
-    """
-    if n < 0 or m < 0:
-        raise DomainError("oracle_restricted_partitions needs n >= 0 and m >= 0")
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-
-    def children(remaining: int, cap: int, slots: int):
-        # one at a time, so a wide node costs no memory before the budget
-        # stops the walk
-        for value in range(min(cap, remaining), 0, -1):
-            yield remaining - value, value, slots - 1
-
-    found = visited = 0
-    frames = [iter(((k, n, m),))]
-    while frames:
-        node = next(frames[-1], None)
-        if node is None:
-            frames.pop()
-            continue
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(
-                "oracle_restricted_partitions({}, {}, {}) passed {} enumeration steps"
-                .format(*map(decimal_text, (n, m, k, budget)))
-            )
-        remaining, cap, slots = node
-        if remaining == 0:
-            found += 1
-        elif slots != 0 and cap != 0:
-            frames.append(children(remaining, cap, slots))
-    return found

@@ -19,9 +19,7 @@ from spincg import (
     oracle_sym,
     parse_spins,
     q_binomial,
-    restricted_partitions,
 )
-from spincg.oracles import oracle_restricted_partitions
 
 TIGHT = 10
 
@@ -76,22 +74,6 @@ def test_oracle_antisym():
             assert counts.omega(n) == direct
 
 
-def test_oracle_restricted_partitions():
-    for n in range(0, 7):
-        for m in range(0, 5):
-            for k in range(0, 9):
-                assert oracle_restricted_partitions(n, m, k) == \
-                    restricted_partitions(n, m, k)
-    # answered before the walk, so even a budget of 0 admits it
-    assert oracle_restricted_partitions(2, 2, -1, 0) == 0
-    # negative slots or part sizes are outside the domain, not unlimited
-    for n, m, k in ((2, -1, 3), (-1, 2, 3), (2, -1, -1)):
-        with pytest.raises(DomainError):
-            restricted_partitions(n, m, k)
-        with pytest.raises(DomainError):
-            oracle_restricted_partitions(n, m, k, 0)
-
-
 def test_budget_guards():
     big = SpinMultiset.from_entries({5: 10})
     with pytest.raises(BudgetExceededError):
@@ -102,39 +84,8 @@ def test_budget_guards():
         oracle_antisym(40, 20, budget=TIGHT)
     with pytest.raises(BudgetExceededError):
         oracle_sym(15, 15, budget=TIGHT)
-    with pytest.raises(BudgetExceededError):
-        oracle_restricted_partitions(50, 50, 1200, budget=TIGHT)
     # the default budget admits moderate problems
     assert sum(oracle_omega(SpinMultiset.from_entries({1: 10})).values) == 1024
-
-
-def test_restricted_partitions_walk_charges_each_node_once():
-    def nodes(remaining, cap, slots):
-        # the nodes of the walk, counted by recursion
-        if remaining == 0 or slots == 0 or cap == 0:
-            return 1
-        return 1 + sum(nodes(remaining - value, value, slots - 1)
-                       for value in range(min(cap, remaining), 0, -1))
-
-    for n in range(0, 5):
-        for m in range(0, 4):
-            for k in range(1, 8):
-                need = nodes(k, n, m)
-                assert oracle_restricted_partitions(
-                    n, m, k, need) == restricted_partitions(n, m, k)
-                with pytest.raises(BudgetExceededError):
-                    oracle_restricted_partitions(n, m, k, need - 1)
-
-
-def test_restricted_partitions_walk_deeper_than_the_recursion_limit():
-    # 3000 ones: a chain of 3,001 nodes, deeper than CPython's default
-    # recursion limit of 1000
-    assert sys.getrecursionlimit() < 3001
-    assert oracle_restricted_partitions(1, 3000, 3000, 3001) == 1
-    with pytest.raises(BudgetExceededError) as caught:
-        oracle_restricted_partitions(1, 3000, 3000, 3000)
-    assert str(caught.value) == (
-        "oracle_restricted_partitions(1, 3000, 3000) passed 3000 enumeration steps")
 
 
 @pytest.fixture
@@ -187,8 +138,6 @@ def test_budget_messages_name_each_call_in_full(default_digit_cap):
         (lambda: oracle_antisym(10**5000 - 1, 1),
          f"oracle_antisym(2j={'9' * 5000}, N=1) needs {big} states, "
          "over the budget of 1000000"),
-        (lambda: oracle_restricted_partitions(10**5000, 2, 5, 1),
-         f"oracle_restricted_partitions({big}, 2, 5) passed 1 enumeration steps"),
         (lambda: oracle_omega(SpinMultiset(((2 * 10**5000, 1),)), 10),
          f"oracle_omega({big}) needs 2{big[2:]}1 states, over the budget of 10"),
         # with a budget below 1, the arguments outgrow the state count

@@ -25,7 +25,7 @@ from spincg.crosscheck import (
     q_binomial_convolution,
     q_factorial,
 )
-from spincg.oracles import oracle_restricted_partitions
+from spincg.oracles import oracle_sym
 from spincg.qpoly import _gaussian_coefficients, _gaussian_packed, _packed_gaussian
 from spincg.qpoly import _q_ratio_product
 
@@ -261,23 +261,33 @@ def test_gaussian_route_rule_at_its_boundary(a, c, top, packed):
 
 
 def test_restricted_partitions_match_oracle_at_the_route_rule():
-    # c = min(n, m); k around the route rule's limit (4c^2, or c^4 for
-    # c = 3..6), past which the list kernel runs, and around 4c^2 for
-    # c = 3, 4, where both sides pack; all below nm / 2, where k is read as
-    # it is; nm - k folds back to k
-    for n, m, limit in ((2, 40, 16), (3, 40, 36), (40, 3, 36), (4, 40, 64),
-                        (3, 60, 81), (60, 3, 81)):
-        assert limit + 2 < n * m / 2
-        for k in range(limit - 1, limit + 3):
-            assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
+    # c = min(n, m); every k is below nm / 2, where it is read as it is, and
+    # nm - k folds back to k
+    def check(n, m, ks):
+        table = oracle_sym(n, m)
+        for k in ks:
+            assert restricted_partitions(n, m, k) == table.omega(k)
             assert restricted_partitions(n, m, n * m - k) == restricted_partitions(n, m, k)
+
+    # k around the largest top the rule packs, past which the list kernel runs
+    for n, m in ((2, 40), (3, 60), (60, 3)):
+        c = min(n, m)
+        limit = max(k for k in range(n * m // 2 + 1) if _gaussian_packed(n + m, c, k))
+        assert limit + 2 < n * m / 2 and not _gaussian_packed(n + m, c, limit + 1)
+        check(n, m, range(limit - 1, limit + 3))
+    # k around 4c^2 for c = 3, 4, each of which packs
+    for n, m, middle in ((3, 40, 36), (40, 3, 36), (4, 40, 64)):
+        ks = range(middle - 1, middle + 3)
+        assert all(_gaussian_packed(n + m, min(n, m), k) for k in ks)
+        check(n, m, ks)
 
 
 # ------------------------------------------------------- restricted partitions
 
 
 def brute_partitions(n: int, m: int, k: int) -> int:
-    # direct enumeration, kept local so this file audits itself
+    # restricted_partitions' reference past oracle_sym's budget: a walk over
+    # nonincreasing parts, largest first
     def walk(remaining, cap, slots):
         if remaining == 0:
             return 1
@@ -302,27 +312,34 @@ def test_restricted_partitions_examples():
         restricted_partitions(-1, 2, 1)
     with pytest.raises(DomainError):
         restricted_partitions(2, -1, 1)
+    # the domain is checked before k < 0 returns 0
+    with pytest.raises(DomainError):
+        restricted_partitions(2, -1, -1)
 
 
 def test_restricted_partitions_match_enumeration():
     for n in range(0, 7):
         for m in range(0, 7):
+            table = oracle_sym(n, m)
             for k in range(0, n * m + 2):
                 assert restricted_partitions(n, m, k) == brute_partitions(n, m, k)
-                assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
+                assert restricted_partitions(n, m, k) == table.omega(k)
 
 
 def test_restricted_partitions_match_oracle_on_wide_spans():
     # min(n, m) >= 10, so every value comes from a product of ten or more
-    # q-ratios truncated at min(k, nm - k); k runs on both sides of nm / 2
-    spans = {
-        (10, 10): (1, 10, 11, 37, 50, 63, 92, 100),
-        (10, 13): (12, 29, 41),
-        (16, 11): (15, 33),
-    }
-    for (n, m), ks in spans.items():
+    # q-ratios truncated at min(k, nm - k); k runs on both sides of nm / 2.
+    # The (10, 10) box holds C(20, 10) = 184,756 states, within oracle_sym's
+    # budget; the others hold 1.1 M, 13.0 M and 2.8 * 10^19, past it.
+    # (34, 34) takes the list kernel with k <= c, where its product stops
+    # at the k-th factor
+    table = oracle_sym(10, 10)
+    for k in (1, 10, 11, 37, 50, 63, 92, 100):
+        assert restricted_partitions(10, 10, k) == table.omega(k)
+    assert not _gaussian_packed(68, 34, 34)
+    for (n, m), ks in {(10, 13): (12, 29, 41), (16, 11): (15, 33), (34, 34): (5, 34)}.items():
         for k in ks:
-            assert restricted_partitions(n, m, k) == oracle_restricted_partitions(n, m, k)
+            assert restricted_partitions(n, m, k) == brute_partitions(n, m, k)
 
 
 def test_restricted_partitions_are_gaussian_coefficients():
@@ -377,18 +394,9 @@ def test_deep_partition_tables_do_not_overflow():
 
 
 def brute_exact_parts(bound: int, nu: int, k: int) -> int:
-    # partitions of k into exactly nu parts, each part <= bound
-    def walk(remaining, cap, slots):
-        if slots == 0:
-            return 1 if remaining == 0 else 0
-        if remaining < slots:
-            return 0
-        return sum(
-            walk(remaining - v, v, slots - 1)
-            for v in range(min(cap, remaining), 0, -1)
-        )
-
-    return walk(k, bound, nu)
+    # partitions of k into exactly nu parts, each part <= bound: those into
+    # at most nu parts less those into at most nu - 1
+    return brute_partitions(bound, nu, k) - (brute_partitions(bound, nu - 1, k) if nu else 0)
 
 
 def test_phi_examples():
